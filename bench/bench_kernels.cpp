@@ -218,17 +218,25 @@ void BM_VpRouteTopk(benchmark::State& state) {
 BENCHMARK(BM_VpRouteTopk);
 
 void BM_SlotMerge(benchmark::State& state) {
-  const core::SlotLayout layout{10};
+  const core::SlotLayout layout{10, 8};
   Rng rng(16);
-  std::vector<Neighbor> local(10);
+  std::vector<Neighbor> first(10), local(10);
   for (std::size_t i = 0; i < local.size(); ++i) {
-    local[i] = {rng.uniformf(), GlobalId(i)};
+    first[i] = {rng.uniformf(), GlobalId(i)};
+    local[i] = {rng.uniformf(), GlobalId(i + local.size())};
   }
+  std::sort(first.begin(), first.end());
   std::sort(local.begin(), local.end());
-  const auto update = core::encode_slot_update(local, layout);
-  std::vector<std::byte> slot(layout.slot_bytes());
+  // Merge partition 1's update into a slot already holding partition 0's:
+  // the slot is reset each iteration, or the mask would drop every repeat
+  // of the same partition as a duplicate.
   const auto merge = core::knn_slot_merge(layout);
+  std::vector<std::byte> filled(layout.slot_bytes());
+  merge(filled, core::encode_slot_update(first, layout, 0));
+  const auto update = core::encode_slot_update(local, layout, 1);
+  std::vector<std::byte> slot(layout.slot_bytes());
   for (auto _ : state) {
+    std::copy(filled.begin(), filled.end(), slot.begin());
     merge(slot, update);
     benchmark::DoNotOptimize(slot.data());
   }

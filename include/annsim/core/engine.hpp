@@ -35,6 +35,9 @@
 
 namespace annsim::core {
 
+struct DoneNotice;  // protocol.hpp
+struct SlotLayout;  // protocol.hpp
+
 /// Who computes F(q) and dispatches jobs (§IV discusses both).
 enum class DispatchStrategy {
   kMasterWorker,   ///< master routes every query (Algorithms 3 & 5)
@@ -89,9 +92,10 @@ struct EngineConfig {
   /// Failure-detection deadline: a worker with outstanding jobs that shows
   /// no progress for this long is declared dead — not just for the batch but
   /// until heal() revives it — and its jobs fail over to live replicas.
-  /// 0 (default) disables detection entirely — the search runs the exact
-  /// pre-fault-tolerance code path. Detection supports master-worker
-  /// single-pass routing only.
+  /// Detection is only this deadline on the one search loop. 0 (default)
+  /// makes it infinite: blocking waits, no heartbeats, nothing fails over,
+  /// and fault-free results are the same bit for bit either way. Detection
+  /// supports master-worker single-pass routing only.
   double result_timeout_ms = 0.0;
 
   // ---- self-healing (see recovery/) ----
@@ -167,7 +171,8 @@ struct SearchStats {
   double mean_partitions_per_query = 0.0;
   mpi::TrafficStats traffic;  ///< runtime traffic during this search
 
-  // ---- fault tolerance (nonzero only with result_timeout_ms > 0) ----
+  // ---- fault tolerance (retries/failovers/workers_failed are nonzero only
+  // with result_timeout_ms > 0) ----
   std::uint64_t retries = 0;          ///< jobs re-dispatched after a death
   std::uint64_t failovers = 0;        ///< retried jobs a live replica completed
   /// Workers *newly* declared dead this batch. A worker already dead in the
@@ -177,7 +182,7 @@ struct SearchStats {
   /// of per-batch counters.
   std::uint64_t workers_failed = 0;
   std::uint64_t degraded_queries = 0; ///< queries with partial coverage
-  /// Per-query coverage (filled when failure detection is armed).
+  /// Per-query coverage (master-worker batches; detection on or off).
   std::vector<QueryCoverage> coverage;
 };
 
@@ -394,7 +399,9 @@ class DistributedAnnEngine {
   /// interleaving. Pass nullptr to detach. Controlled runs require
   /// `threads_per_worker == 1` and `result_timeout_ms == 0` — every engine
   /// thread must be a tracked rank, or helper threads would race around the
-  /// controller instead of being scheduled by it.
+  /// controller instead of being scheduled by it. Both are needed: with a
+  /// finite deadline a worker spawns its team beside the rank thread's
+  /// liveness beacon.
   void set_schedule(std::shared_ptr<mpi::ScheduleController> schedule) noexcept {
     schedule_ = std::move(schedule);
   }
@@ -411,13 +418,17 @@ class DistributedAnnEngine {
   /// All replicas a worker hosts, keyed by partition id.
   using WorkerStore = std::map<PartitionId, Replica>;
 
+  /// `slots` names the result transport for master and workers together:
+  /// RMA accumulation into masked slots, or two-sided messages when null.
   void master_search(mpi::Comm& world, const data::Dataset& queries,
-                     std::size_t k, std::size_t ef, data::KnnResults& results,
-                     SearchStats& stats, const QueryDoneFn& on_query_done,
+                     std::size_t k, std::size_t ef, const SlotLayout* slots,
+                     data::KnnResults& results, SearchStats& stats,
+                     const QueryDoneFn& on_query_done,
                      mpi::FaultInjector* fault, std::vector<char>& alive,
                      std::vector<std::uint64_t>& heartbeats,
                      std::span<const EffortOverride> efforts);
-  void worker_search(mpi::Comm& world, std::size_t k);
+  void worker_search(mpi::Comm& world, const SlotLayout* slots,
+                     const std::function<void(DoneNotice&)>& owner_duties = {});
   /// Lazily create (or return) the engine-owned fault injector shared by
   /// every search runtime, so death flags and op budgets persist across
   /// batches. Null when the config's fault plan is inert.
@@ -449,8 +460,7 @@ class DistributedAnnEngine {
                            std::size_t k, std::size_t ef,
                            data::KnnResults& results, SearchStats& stats,
                            const QueryDoneFn& on_query_done);
-  void worker_search_owner(mpi::Comm& world, const data::Dataset& queries,
-                           std::size_t k, std::size_t ef);
+  void worker_search_owner(mpi::Comm& world, std::size_t k);
 
   const data::Dataset* base_ = nullptr;  ///< null after load()
   EngineConfig config_;

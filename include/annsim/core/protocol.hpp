@@ -15,15 +15,13 @@
 namespace annsim::core {
 
 // Message tags of the search protocol.
-inline constexpr mpi::Tag kTagQuery = 1;    ///< master -> worker: one (q, d) job
-inline constexpr mpi::Tag kTagResult = 2;   ///< worker -> master: local k-NN (two-sided mode)
+inline constexpr mpi::Tag kTagQuery = 1;    ///< master/owner -> worker: one (q, d) job
+inline constexpr mpi::Tag kTagResult = 2;   ///< worker -> reply_to: local k-NN (two-sided);
+                                            ///< owner -> master: merged answer
 inline constexpr mpi::Tag kTagEoq = 3;      ///< master -> worker: End of Queries
 inline constexpr mpi::Tag kTagDone = 4;     ///< worker -> master: all jobs finished
 inline constexpr mpi::Tag kTagTree = 5;     ///< worker 0 -> master: serialized VP tree
-inline constexpr mpi::Tag kTagOwnerResult = 6;  ///< worker -> owner (multiple-owner mode)
 inline constexpr mpi::Tag kTagOwnerBatch = 8;   ///< master -> owner: its query share
-inline constexpr mpi::Tag kTagExpect = 9;       ///< master -> worker: total jobs to expect
-inline constexpr mpi::Tag kTagDispatchCounts = 10;  ///< owner -> master: jobs per dest
 inline constexpr mpi::Tag kTagReplica = 11;     ///< worker -> worker: partition replica
 inline constexpr mpi::Tag kTagHeartbeat = 12;   ///< worker -> master: liveness beacon
 
@@ -121,18 +119,18 @@ struct WriteAck {
 // merged_count. The master knows |F(q)| per query, so a slot is final once
 // merged_count reaches it.
 //
-// The partition mask (W = ceil(n_partitions / 64) words, present only when
-// the layout declares n_partitions > 0) records which partitions have been
-// merged. It makes failover retries idempotent: a worker that died mid-batch
-// may already have landed some of its merges, and a replica re-running the
-// same job must not double-merge the partition. The merge op skips an origin
-// whose partition bit is already set, and the master reads the mask both to
-// poll progress and to attribute per-query coverage. With n_partitions == 0
-// the mask is absent and the byte layout is exactly the legacy one.
+// The partition mask (W = ceil(n_partitions / 64) words) records which
+// partitions have been merged. It makes failover retries idempotent: a worker
+// that died mid-batch may already have landed some of its merges, and a
+// replica re-running the same job must not double-merge the partition. The
+// merge op skips an origin whose partition bit is already set, and the
+// master reads the mask both to poll progress and to attribute per-query
+// coverage. Every layout carries the mask: the slot functions below reject
+// n_partitions == 0 with annsim::Error.
 
 struct SlotLayout {
   std::size_t k = 0;
-  std::size_t n_partitions = 0;  ///< 0 = no partition mask (legacy layout)
+  std::size_t n_partitions = 0;  ///< must be nonzero (mask width)
 
   [[nodiscard]] std::size_t mask_words() const noexcept {
     return (n_partitions + 63) / 64;
@@ -156,23 +154,23 @@ struct SlotLayout {
                                  PartitionId p) noexcept;
 
 /// Serialize a local result into the accumulate origin-buffer format
-/// (count=1, then exactly k neighbors, padded with +inf sentinels). When the
-/// layout carries a partition mask, `partition` must identify the searched
+/// (count=1, the searched partition's mask bit, then exactly k neighbors,
+/// padded with +inf sentinels). `partition` must identify the searched
 /// partition so the merge can deduplicate failover retries.
 [[nodiscard]] std::vector<std::byte> encode_slot_update(
     std::span<const Neighbor> neighbors, const SlotLayout& layout,
-    PartitionId partition = kInvalidPartition);
+    PartitionId partition);
 
 /// The merge op passed to Window::get_accumulate: k-NN-merge the origin
-/// neighbors into the target slot and add the origin's merged_count. With a
-/// partition mask, an origin whose partition bit is already set in the target
-/// is dropped (idempotent retry).
+/// neighbors into the target slot and add the origin's merged_count. An
+/// origin whose partition bit is already set in the target is dropped
+/// (idempotent retry).
 [[nodiscard]] mpi::Window::MergeOp knn_slot_merge(const SlotLayout& layout);
 
 /// Slot header only (cheap poll): merged count plus partition mask.
 struct SlotHeader {
   std::uint32_t merged_count = 0;
-  std::vector<std::uint64_t> mask;  ///< empty when the layout has no mask
+  std::vector<std::uint64_t> mask;
 
   [[nodiscard]] bool contains_partition(PartitionId p) const noexcept {
     return mask_contains(mask, p);
@@ -185,7 +183,7 @@ struct SlotHeader {
 /// without sentinels).
 struct DecodedSlot {
   std::uint32_t merged_count = 0;
-  std::vector<std::uint64_t> mask;  ///< empty when the layout has no mask
+  std::vector<std::uint64_t> mask;
   std::vector<Neighbor> neighbors;
 
   [[nodiscard]] bool contains_partition(PartitionId p) const noexcept {

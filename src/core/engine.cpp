@@ -385,19 +385,26 @@ data::KnnResults DistributedAnnEngine::search(
     // under the shared topology lock so a concurrent write/compact round can
     // interleave but heal()'s store mutations cannot.
     std::shared_lock topology(sync_->topology);
+    // The result transport is chosen once, for master and workers together:
+    // RMA accumulation into masked slots, or two-sided result messages.
+    // Exact routing needs each phase-1 result's k-th distance, so it always
+    // runs two-sided (as does multiple-owner mode, by validation).
+    const SlotLayout layout{k, P};
+    const SlotLayout* slots =
+        config_.one_sided && !config_.exact_routing ? &layout : nullptr;
     run_checked([&](mpi::Comm& world) {
       if (config_.strategy == DispatchStrategy::kMultipleOwner) {
         if (world.rank() == 0) {
           master_search_owner(world, queries, k, ef, results, st, on_query_done);
         } else {
-          worker_search_owner(world, queries, k, ef);
+          worker_search_owner(world, k);
         }
       } else {
         if (world.rank() == 0) {
-          master_search(world, queries, k, ef, results, st, on_query_done,
+          master_search(world, queries, k, ef, slots, results, st, on_query_done,
                         rt.fault_injector(), alive, heartbeats, efforts);
         } else {
-          worker_search(world, k);
+          worker_search(world, slots);
         }
       }
     });
@@ -406,9 +413,14 @@ data::KnnResults DistributedAnnEngine::search(
   // Fold the batch's outcome into the persistent health record — after
   // rt.run() so every rank thread has been joined and touching worker
   // stores cannot race. A newly dead worker's in-memory replicas die with
-  // it; heal() restores them from checkpoint or from a surviving peer.
-  if (config_.result_timeout_ms > 0.0 &&
-      config_.strategy == DispatchStrategy::kMasterWorker) {
+  // it; heal() restores them from checkpoint or from a surviving peer. A
+  // batch that heard no beacon and saw no death (every batch without
+  // detection) has nothing to fold and skips the exclusive lock.
+  const bool observed =
+      std::count(alive.begin(), alive.end(), 0) > 0 ||
+      std::any_of(heartbeats.begin(), heartbeats.end(),
+                  [](std::uint64_t n) { return n > 0; });
+  if (observed) {
     std::unique_lock topology(sync_->topology);  // workers_[w].clear() below
     for (std::size_t w = 0; w < P; ++w) {
       health_.workers[w].heartbeats += heartbeats[w];
@@ -875,570 +887,6 @@ CompressionStats DistributedAnnEngine::compression_stats() const {
     }
   }
   return cs;
-}
-
-// Algorithm 3 (baseline) / Algorithm 5 (replication): the master routine.
-// With `result_timeout_ms > 0` the collection loops additionally detect
-// workers that stop making progress, fail their outstanding jobs over to
-// live replicas of the same partition, and finalize queries that lose every
-// replica as degraded partial results. With the default timeout of 0 the
-// function runs the exact legacy code path.
-void DistributedAnnEngine::master_search(
-    mpi::Comm& world, const data::Dataset& queries, std::size_t k,
-    std::size_t ef, data::KnnResults& results, SearchStats& stats,
-    const QueryDoneFn& on_query_done, mpi::FaultInjector* fault,
-    std::vector<char>& alive, std::vector<std::uint64_t>& heartbeats,
-    std::span<const EffortOverride> efforts) {
-  const std::size_t P = config_.n_workers;
-  const std::size_t nq = queries.size();
-  const auto& tree = *router_;
-  const bool one_sided = config_.one_sided && !config_.exact_routing;
-  const bool detect = config_.result_timeout_ms > 0.0;
-  // Detection needs the slot partition mask (idempotent failover merges and
-  // coverage attribution); without it the layout is the legacy one.
-  const SlotLayout layout{k, one_sided && detect ? P : 0};
-  const auto timeout = std::chrono::microseconds(
-      std::int64_t(config_.result_timeout_ms * 1000.0));
-  using Clock = std::chrono::steady_clock;
-
-  mpi::Window win;
-  if (one_sided) {
-    win = world.create_window(layout.window_bytes(nq));
-  }
-
-  PhaseTimer route_t, dispatch_t, merge_t;
-
-  // --- Algorithm 5 scaffolding: one round-robin pointer per workgroup
-  // W_i = {p_i, p_{i+1 mod P}, ..., p_{i+r-1 mod P}}. Members declared dead
-  // (this batch or any earlier one — `alive` is seeded from the engine's
-  // ClusterHealth) are skipped; the first probe matches the legacy choice
-  // exactly, so a fault-free run dispatches identically whether or not
-  // detection is armed.
-  std::vector<std::uint32_t> next(P, 0);
-  // Brownout effort caps: a per-query override can shrink the beam width and
-  // the routing fan-out, never widen them (both are min'd against the batch
-  // defaults). Empty span = every query at full effort, the legacy path.
-  auto query_ef = [&](std::uint32_t qid) -> std::uint32_t {
-    if (!efforts.empty() && efforts[qid].ef != 0) {
-      const auto cap = efforts[qid].ef;
-      return ef == 0 ? cap : std::min(cap, std::uint32_t(ef));
-    }
-    return std::uint32_t(ef);
-  };
-  auto query_probes = [&](std::size_t qid) -> std::size_t {
-    std::size_t n = std::min(config_.n_probe, P);
-    if (!efforts.empty() && efforts[qid].max_probes != 0) {
-      n = std::min(n, std::size_t(efforts[qid].max_probes));
-    }
-    return n;
-  };
-  auto dispatch_job = [&](std::uint32_t qid, PartitionId d) -> int {
-    const auto r = std::uint32_t(config_.replication);
-    for (std::uint32_t probe = 0; probe < r; ++probe) {
-      const std::size_t member = (d + next[d]) % P;
-      next[d] = (next[d] + 1) % r;
-      // A member must be alive *and* actually hold the replica: a heal that
-      // found a partition unrecoverable revives the worker without it.
-      if (!alive[member] || workers_[member].count(d) == 0) continue;
-      QueryJob job;
-      job.query_id = qid;
-      job.partition = d;
-      job.k = std::uint32_t(k);
-      job.ef = query_ef(qid);
-      job.reply_to = 0;
-      const float* qv = queries.row(qid);
-      job.query.assign(qv, qv + queries.dim());
-      ScopedPhase p(dispatch_t);
-      (void)world.isend(int(member) + 1, kTagQuery, encode_query_job(job));
-      return int(member);
-    }
-    return -1;  // no live replica hosts partition d
-  };
-
-  std::vector<std::uint32_t> expected(nq, 0);
-  std::vector<TopK> acc;  // two-sided merge accumulators
-  if (!one_sided) acc.assign(nq, TopK(k));
-
-  // --- failover bookkeeping (used only when detection is armed).
-  enum class JobState : char { kPending, kMerged, kAbandoned };
-  struct JobInfo {
-    JobState state = JobState::kPending;
-    int worker = -1;       ///< current assignee (worker id, not rank)
-    bool retried = false;  ///< re-dispatched after its first assignee died
-  };
-  auto jkey = [](std::uint32_t q, PartitionId d) {
-    return (std::uint64_t(q) << 32) | std::uint64_t(d);
-  };
-  std::map<std::uint64_t, JobInfo> jobs;         // keyed by (query, partition)
-  std::vector<std::uint32_t> pending_per_worker(P, 0);
-  std::vector<std::uint32_t> remaining(nq, 0);   // pending jobs per query
-  std::vector<std::uint32_t> searched(nq, 0);    // merged partitions per query
-  std::vector<Clock::time_point> last_activity(P, Clock::now());
-  // Liveness beacons: while detection is armed every worker heartbeats on a
-  // reliable tag, so the master notices a death even when the worker has no
-  // outstanding jobs to time out on.
-  std::vector<Clock::time_point> last_heartbeat(P, Clock::now());
-  auto drain_heartbeats = [&](Clock::time_point now) {
-    while (world.iprobe(mpi::kAnySource, kTagHeartbeat)) {
-      const mpi::Message m = world.recv(mpi::kAnySource, kTagHeartbeat);
-      const std::size_t w = std::size_t(m.source) - 1;
-      ++heartbeats[w];
-      last_heartbeat[w] = now;
-    }
-  };
-  if (detect) stats.coverage.assign(nq, {});
-
-  std::uint64_t total_jobs = 0;
-
-  if (!config_.exact_routing) {
-    // Single-pass F(q): best-first top-n_probe partitions.
-    for (std::size_t q = 0; q < nq; ++q) {
-      // The engine's logical step = queries dispatched: KillRule::at_step
-      // rules fire as the clock sweeps past their trigger.
-      if (fault != nullptr) fault->advance_step();
-      route_t.start();
-      auto plan = tree.route_topk(queries.row(q), query_probes(q));
-      route_t.stop();
-      expected[q] = std::uint32_t(plan.partitions.size());
-      total_jobs += plan.partitions.size();
-      for (PartitionId d : plan.partitions) {
-        const int m = dispatch_job(std::uint32_t(q), d);
-        if (!detect) continue;
-        if (m >= 0) {
-          jobs[jkey(std::uint32_t(q), d)] = JobInfo{JobState::kPending, m, false};
-          ++pending_per_worker[std::size_t(m)];
-          ++remaining[q];
-        }
-        // m < 0: every replica of d was dead before the batch started — the
-        // partition cannot be searched and the query will finalize short.
-      }
-    }
-    // With detection armed, EOQ is deferred until every query finalizes so
-    // live workers stay available for failover jobs.
-    if (!detect) {
-      for (std::size_t w = 0; w < P; ++w) {
-        ScopedPhase p(dispatch_t);
-        (void)world.isend_reserved(int(w) + 1, kTagEoq, {});
-      }
-    }
-  } else {
-    // Two-phase exact F(q): nearest partition first, then every partition
-    // intersecting the ball at the observed k-th distance.
-    std::vector<PartitionId> first(nq);
-    for (std::size_t q = 0; q < nq; ++q) {
-      route_t.start();
-      first[q] = tree.route_nearest(queries.row(q));
-      route_t.stop();
-      expected[q] = 1;
-      ++total_jobs;
-      dispatch_job(std::uint32_t(q), first[q]);
-    }
-    // Collect phase-1 results (two-sided).
-    std::vector<float> radius(nq, std::numeric_limits<float>::infinity());
-    for (std::size_t i = 0; i < nq; ++i) {
-      mpi::Message m = world.recv(mpi::kAnySource, kTagResult);
-      ScopedPhase p(merge_t);
-      LocalResult r = decode_local_result(m.payload);
-      acc[r.query_id].merge(r.neighbors);
-      if (r.neighbors.size() >= k) radius[r.query_id] = r.neighbors[k - 1].dist;
-    }
-    // Phase 2: exact ball routing, skipping the partition already searched.
-    for (std::size_t q = 0; q < nq; ++q) {
-      route_t.start();
-      auto parts = tree.route_ball(queries.row(q), radius[q]);
-      route_t.stop();
-      for (PartitionId d : parts) {
-        if (d == first[q]) continue;
-        ++expected[q];
-        ++total_jobs;
-        dispatch_job(std::uint32_t(q), d);
-      }
-    }
-    for (std::size_t w = 0; w < P; ++w) {
-      ScopedPhase p(dispatch_t);
-      (void)world.isend_reserved(int(w) + 1, kTagEoq, {});
-    }
-  }
-
-  // --- result collection (two-sided): finalize each query as its last
-  // partial arrives, so `on_query_done` streams completions in finish order
-  // rather than batch order — the serving plane's latency signal.
-  std::vector<char> finalized(nq, 0);
-  auto coverage_of = [&](std::size_t q) {
-    return detect ? QueryCoverage{searched[q], expected[q]}
-                  : QueryCoverage{expected[q], expected[q]};
-  };
-  auto finalize_query = [&](std::size_t q) {
-    results[q] = acc[q].take_sorted();
-    finalized[q] = 1;
-    const QueryCoverage cov = coverage_of(q);
-    if (detect) {
-      stats.coverage[q] = cov;
-      if (cov.degraded()) ++stats.degraded_queries;
-    }
-    if (on_query_done) on_query_done(q, results[q], cov);
-  };
-
-  // Declare worker `w` dead for the rest of the batch: fail each of its
-  // pending jobs over to the next live replica of the partition; a job with
-  // no live replica left is abandoned and its query completes degraded.
-  std::uint64_t outstanding = 0;  // pending jobs across the batch (detect)
-  auto declare_dead = [&](std::size_t w) {
-    alive[w] = 0;
-    ++stats.workers_failed;
-    for (auto& [key, info] : jobs) {
-      if (info.state != JobState::kPending || info.worker != int(w)) continue;
-      const auto q = std::uint32_t(key >> 32);
-      const auto d = PartitionId(key & 0xffffffffULL);
-      const int m = dispatch_job(q, d);
-      if (m >= 0) {
-        info.worker = m;
-        info.retried = true;
-        ++stats.retries;
-        ++pending_per_worker[std::size_t(m)];
-        last_activity[std::size_t(m)] = Clock::now();  // fresh deadline
-      } else {
-        info.state = JobState::kAbandoned;
-        --outstanding;
-        if (--remaining[q] == 0 && !one_sided) finalize_query(q);
-      }
-    }
-    pending_per_worker[w] = 0;
-  };
-  auto check_deadlines = [&](Clock::time_point now) {
-    for (std::size_t w = 0; w < P; ++w) {
-      if (!alive[w]) continue;
-      // Job-activity deadline: pending work with no visible progress. Kept
-      // alongside the heartbeat deadline because an alive-but-drop-starved
-      // worker heartbeats happily while its results never arrive.
-      const bool jobs_stalled =
-          pending_per_worker[w] > 0 && now - last_activity[w] >= timeout;
-      // Heartbeat deadline: the liveness beacon went silent.
-      const bool beacon_silent = now - last_heartbeat[w] >= timeout;
-      if (jobs_stalled || beacon_silent) declare_dead(w);
-    }
-  };
-
-  if (!one_sided && !detect) {
-    std::vector<std::uint32_t> todo(nq);
-    std::uint64_t legacy_outstanding = 0;
-    for (std::size_t q = 0; q < nq; ++q) {
-      // Phase-1 results of exact routing were already merged above.
-      todo[q] = expected[q] - (config_.exact_routing ? 1 : 0);
-      legacy_outstanding += todo[q];
-    }
-    if (config_.exact_routing) {
-      for (std::size_t q = 0; q < nq; ++q) {
-        if (todo[q] == 0) finalize_query(q);
-      }
-    }
-    for (std::uint64_t i = 0; i < legacy_outstanding; ++i) {
-      mpi::Message m = world.recv(mpi::kAnySource, kTagResult);
-      ScopedPhase p(merge_t);
-      LocalResult r = decode_local_result(m.payload);
-      acc[r.query_id].merge(r.neighbors);
-      if (--todo[r.query_id] == 0) finalize_query(r.query_id);
-    }
-  } else if (!one_sided && detect) {
-    for (std::size_t q = 0; q < nq; ++q) outstanding += remaining[q];
-    // A query can lose every live replica already at dispatch (workers dead
-    // since an earlier batch); nothing of it is in flight, so finalize it
-    // now — degraded — or the collection loop would never visit it.
-    for (std::size_t q = 0; q < nq; ++q) {
-      if (remaining[q] == 0) finalize_query(q);
-    }
-    const auto arm_time = Clock::now();
-    for (std::size_t w = 0; w < P; ++w) {
-      last_activity[w] = arm_time;
-      last_heartbeat[w] = arm_time;
-    }
-    while (outstanding > 0) {
-      auto msg = world.recv_for(mpi::kAnySource, kTagResult, timeout);
-      const auto now = Clock::now();
-      drain_heartbeats(now);
-      if (msg.has_value()) {
-        ScopedPhase p(merge_t);
-        LocalResult r = decode_local_result(msg->payload);
-        last_activity[std::size_t(msg->source) - 1] = now;
-        const auto it = jobs.find(jkey(r.query_id, r.partition));
-        if (it != jobs.end() && it->second.state == JobState::kPending) {
-          it->second.state = JobState::kMerged;
-          if (it->second.retried) ++stats.failovers;
-          --pending_per_worker[std::size_t(it->second.worker)];
-          acc[r.query_id].merge(r.neighbors);
-          ++searched[r.query_id];
-          --outstanding;
-          if (--remaining[r.query_id] == 0) finalize_query(r.query_id);
-        }
-        // else: late duplicate from a worker declared dead too eagerly; the
-        // job already completed elsewhere (or was abandoned) — drop it.
-      }
-      check_deadlines(now);
-    }
-  } else if (one_sided && detect) {
-    // One-sided collection: poll slot headers for progress. A job is done
-    // once its partition bit appears in the query's mask; a worker whose
-    // pending jobs show no new bits for `timeout` is declared dead.
-    for (std::size_t q = 0; q < nq; ++q) outstanding += remaining[q];
-    const auto arm_time = Clock::now();
-    for (std::size_t w = 0; w < P; ++w) {
-      last_activity[w] = arm_time;
-      last_heartbeat[w] = arm_time;
-    }
-    const auto poll = std::max(timeout / 8, std::chrono::microseconds(100));
-    win.lock_shared(0);
-    while (outstanding > 0) {
-      bool progress = false;
-      const auto now = Clock::now();
-      drain_heartbeats(now);
-      for (std::size_t q = 0; q < nq; ++q) {
-        if (remaining[q] == 0) continue;
-        auto hdr_bytes =
-            win.get(0, layout.slot_offset(q), layout.header_bytes());
-        const SlotHeader hdr = decode_slot_header(hdr_bytes, layout);
-        for (auto it = jobs.lower_bound(jkey(std::uint32_t(q), 0));
-             it != jobs.end() && (it->first >> 32) == q; ++it) {
-          auto& info = it->second;
-          if (info.state != JobState::kPending) continue;
-          const auto d = PartitionId(it->first & 0xffffffffULL);
-          if (!hdr.contains_partition(d)) continue;
-          info.state = JobState::kMerged;
-          if (info.retried) ++stats.failovers;
-          --pending_per_worker[std::size_t(info.worker)];
-          last_activity[std::size_t(info.worker)] = now;
-          ++searched[q];
-          --remaining[q];
-          --outstanding;
-          progress = true;
-        }
-      }
-      if (outstanding == 0) break;
-      check_deadlines(now);
-      if (!progress) sleep_approx(poll);
-    }
-    win.unlock(0);
-  }
-
-  // With detection armed, EOQ goes out only now — after every query has
-  // either completed or been abandoned — so live workers could serve
-  // failover jobs until the very end of the batch.
-  if (detect) {
-    for (std::size_t w = 0; w < P; ++w) {
-      ScopedPhase p(dispatch_t);
-      (void)world.isend_reserved(int(w) + 1, kTagEoq, {});
-    }
-  }
-
-  // --- completion notices (also carry the Fig 4(b) per-process job counts).
-  if (!detect) {
-    for (std::size_t w = 0; w < P; ++w) {
-      mpi::Message m = world.recv(mpi::kAnySource, kTagDone);
-      BinaryReader rd(m.payload);
-      const auto notice = rd.read<DoneNotice>();
-      stats.jobs_per_worker[std::size_t(m.source) - 1] = notice.jobs_processed;
-      stats.worker_compute_seconds += notice.compute_seconds;
-      stats.worker_comm_seconds += notice.comm_seconds;
-    }
-  } else {
-    // A dead worker's notice was eaten by the injector; collect per source
-    // with a deadline instead of blocking on a wildcard that may never match.
-    for (std::size_t w = 0; w < P; ++w) {
-      if (!alive[w]) continue;
-      auto m = world.recv_for(int(w) + 1, kTagDone, timeout);
-      if (!m.has_value()) {
-        // Died after its last result but before the done notice.
-        declare_dead(w);
-        continue;
-      }
-      BinaryReader rd(m->payload);
-      const auto notice = rd.read<DoneNotice>();
-      stats.jobs_per_worker[w] = notice.jobs_processed;
-      stats.worker_compute_seconds += notice.compute_seconds;
-      stats.worker_comm_seconds += notice.comm_seconds;
-    }
-  }
-
-  // --- finalize results.
-  if (one_sided) {
-    // Legacy mode: all workers are done, so every accumulate has landed.
-    // Detect mode: every job is merged or abandoned; coverage comes from the
-    // final mask, which also absorbs merges that landed after their worker
-    // was (too eagerly) declared dead.
-    // (A real MPI master reads its exposed buffer directly; we go through
-    // get() so the C++ memory model sees the same synchronisation the
-    // window's target lock provides.)
-    ScopedPhase p(merge_t);
-    win.lock_shared(0);
-    for (std::size_t q = 0; q < nq; ++q) {
-      auto bytes = win.get(0, layout.slot_offset(q), layout.slot_bytes());
-      DecodedSlot slot = decode_slot(bytes, layout);
-      if (!detect) {
-        ANNSIM_CHECK_MSG(slot.merged_count == expected[q],
-                         "slot " << q << ": merged " << slot.merged_count
-                                 << " of " << expected[q] << " results");
-      } else {
-        std::uint32_t landed = 0;
-        for (auto it = jobs.lower_bound(jkey(std::uint32_t(q), 0));
-             it != jobs.end() && (it->first >> 32) == q; ++it) {
-          if (slot.contains_partition(PartitionId(it->first & 0xffffffffULL))) {
-            ++landed;
-          }
-        }
-        ANNSIM_CHECK_MSG(slot.merged_count == landed,
-                         "slot " << q << ": merged " << slot.merged_count
-                                 << " but mask shows " << landed);
-        searched[q] = landed;
-      }
-      results[q] = std::move(slot.neighbors);
-      const QueryCoverage cov = coverage_of(q);
-      if (detect) {
-        stats.coverage[q] = cov;
-        if (cov.degraded()) ++stats.degraded_queries;
-      }
-      if (on_query_done) on_query_done(q, results[q], cov);
-    }
-    win.unlock(0);
-  } else {
-    // Two-sided results were finalized (and reported) in the streaming loop.
-    for (std::size_t q = 0; q < nq; ++q) ANNSIM_CHECK(finalized[q]);
-  }
-
-  stats.master_route_seconds = route_t.total_seconds();
-  stats.master_dispatch_seconds = dispatch_t.total_seconds();
-  stats.master_merge_seconds = merge_t.total_seconds();
-  stats.total_jobs = total_jobs;
-  stats.mean_partitions_per_query = nq ? double(total_jobs) / double(nq) : 0.0;
-}
-
-// Algorithm 4: the worker routine (a team of threads, each polling with
-// MPI_Test and terminating through the shared Done flag).
-void DistributedAnnEngine::worker_search(mpi::Comm& world, std::size_t k) {
-  const std::size_t me = std::size_t(world.rank()) - 1;
-  const bool one_sided = config_.one_sided && !config_.exact_routing;
-  const bool detect = config_.result_timeout_ms > 0.0;
-  // Must mirror the master's layout choice exactly (same window geometry).
-  const SlotLayout layout{k, one_sided && detect ? config_.n_workers : 0};
-
-  mpi::Window win;
-  if (one_sided) {
-    win = world.create_window(0);
-    // Passive-target access epoch at the master, shared mode (§IV-C1): one
-    // epoch for the whole batch, shared by this worker's thread team.
-    win.lock_shared(0);
-  }
-  const auto merge_op = knn_slot_merge(layout);
-
-  std::atomic<bool> done{false};
-  std::atomic<std::uint64_t> jobs{0};
-  std::mutex agg_mu;
-  double compute_s = 0.0, comm_s = 0.0;
-
-  auto thread_main = [&] {
-    double my_compute = 0.0, my_comm = 0.0;
-    for (;;) {
-      // A tag set, not a wildcard: the worker names exactly what it is
-      // willing to consume, so a stray control message can never be
-      // swallowed as a query (annsim::check's wildcard-recv rule).
-      mpi::Request req = world.irecv_tags(0, {kTagQuery, kTagEoq});
-      Backoff backoff;
-      bool cancelled = false;
-      while (!req.test()) {
-        if (done.load(std::memory_order_acquire)) {
-          if (req.cancel()) {
-            cancelled = true;
-            break;
-          }
-          // Completed concurrently with the flag: fall through and take it.
-        }
-        backoff.pause();
-      }
-      if (cancelled) break;
-      mpi::Message m = req.take();
-      if (m.tag == kTagEoq) {
-        done.store(true, std::memory_order_release);
-        break;
-      }
-
-      const QueryJob job = decode_query_job(m.payload);
-      const auto it = workers_[me].find(job.partition);
-      ANNSIM_CHECK_MSG(it != workers_[me].end(),
-                       "worker " << me << " has no replica of partition "
-                                 << job.partition);
-      WallTimer tc;
-      auto local = it->second.index->search(job.query.data(), job.k, job.ef);
-      my_compute += tc.seconds();
-
-      WallTimer tm;
-      if (one_sided) {
-        win.get_accumulate(0, layout.slot_offset(job.query_id),
-                           encode_slot_update(local, layout, job.partition),
-                           merge_op);
-      } else {
-        LocalResult r;
-        r.query_id = job.query_id;
-        r.partition = job.partition;
-        r.neighbors = std::move(local);
-        (void)world.isend(int(job.reply_to), kTagResult, encode_local_result(r));
-      }
-      my_comm += tm.seconds();
-      jobs.fetch_add(1, std::memory_order_relaxed);
-    }
-    std::lock_guard lk(agg_mu);
-    compute_s += my_compute;
-    comm_s += my_comm;
-  };
-
-  // Liveness beacon (armed with detection): beat on a reliable tag until the
-  // batch terminates. The fabric never drops a beat, so the only way the
-  // master stops hearing this worker is the worker actually dying — which is
-  // exactly what the injector does to a killed rank's sends, reliable or not.
-  std::thread beacon;
-  if (detect) {
-    const double interval_ms = config_.heartbeat_interval_ms > 0.0
-                                   ? config_.heartbeat_interval_ms
-                                   : config_.result_timeout_ms / 4.0;
-    const auto interval = std::chrono::microseconds(
-        std::max<std::int64_t>(std::int64_t(interval_ms * 1000.0), 100));
-    beacon = std::thread([&] {
-      const auto slice = std::min<std::chrono::microseconds>(
-          interval, std::chrono::microseconds(1000));
-      while (!done.load(std::memory_order_acquire)) {
-        (void)world.isend_reserved(0, kTagHeartbeat, {});
-        // Sleep the interval in slices so termination stays prompt.
-        const auto wake = std::chrono::steady_clock::now() + interval;
-        while (!done.load(std::memory_order_acquire) &&
-               std::chrono::steady_clock::now() < wake) {
-          sleep_approx(slice);
-        }
-      }
-    });
-  }
-
-  if (config_.threads_per_worker == 1) {
-    // A one-thread team runs inline on the rank thread itself. This is what
-    // keeps the worker schedulable under annsim::explore: a spawned team
-    // member would be an untracked helper racing around the controller,
-    // whereas the rank thread parks at every choice point.
-    thread_main();
-  } else {
-    std::vector<std::thread> team;
-    team.reserve(config_.threads_per_worker);
-    for (std::size_t t = 0; t < config_.threads_per_worker; ++t) {
-      team.emplace_back(thread_main);
-    }
-    for (auto& t : team) t.join();
-  }
-  if (beacon.joinable()) beacon.join();
-
-  if (one_sided) win.unlock(0);
-
-  DoneNotice notice;
-  notice.jobs_processed = jobs.load();
-  notice.compute_seconds = compute_s;
-  notice.comm_seconds = comm_s;
-  BinaryWriter w;
-  w.write(notice);
-  world.send_reserved(0, kTagDone, w.bytes());
 }
 
 // ------------------------------------------------------------ recovery ----

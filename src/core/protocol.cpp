@@ -125,14 +125,29 @@ bool mask_contains(std::span<const std::uint64_t> mask,
 
 namespace {
 
+void check_layout(const SlotLayout& layout) {
+  ANNSIM_CHECK_MSG(layout.n_partitions > 0,
+                   "SlotLayout needs n_partitions > 0: every slot carries a "
+                   "partition mask");
+}
+
 std::vector<std::uint64_t> read_mask(std::span<const std::byte> slot,
                                      const SlotLayout& layout) {
   std::vector<std::uint64_t> mask(layout.mask_words());
-  if (!mask.empty()) {
-    std::memcpy(mask.data(), slot.data() + sizeof(std::uint64_t),
-                mask.size() * sizeof(std::uint64_t));
-  }
+  std::memcpy(mask.data(), slot.data() + sizeof(std::uint64_t),
+              mask.size() * sizeof(std::uint64_t));
   return mask;
+}
+
+/// Byte offset of word `w` of a slot's partition mask.
+constexpr std::size_t mask_offset(std::size_t w) {
+  return sizeof(std::uint64_t) * (1 + w);
+}
+
+std::uint64_t mask_word(std::span<const std::byte> slot, std::size_t w) {
+  std::uint64_t v = 0;
+  std::memcpy(&v, slot.data() + mask_offset(w), sizeof(v));
+  return v;
 }
 
 }  // namespace
@@ -140,20 +155,16 @@ std::vector<std::uint64_t> read_mask(std::span<const std::byte> slot,
 std::vector<std::byte> encode_slot_update(std::span<const Neighbor> neighbors,
                                           const SlotLayout& layout,
                                           PartitionId partition) {
+  check_layout(layout);
+  ANNSIM_CHECK_MSG(partition != kInvalidPartition &&
+                       std::size_t(partition) < layout.n_partitions,
+                   "encode_slot_update needs the searched partition id");
   std::vector<std::byte> out(layout.slot_bytes());
   const std::uint32_t count = 1;
   std::memcpy(out.data(), &count, sizeof(count));
-  if (layout.mask_words() > 0) {
-    ANNSIM_CHECK_MSG(partition != kInvalidPartition &&
-                         std::size_t(partition) < layout.n_partitions,
-                     "encode_slot_update: masked layout needs the searched "
-                     "partition id");
-    std::vector<std::uint64_t> mask(layout.mask_words(), 0);
-    mask[std::size_t(partition) / 64] |= std::uint64_t{1}
-                                         << (std::size_t(partition) % 64);
-    std::memcpy(out.data() + sizeof(std::uint64_t), mask.data(),
-                mask.size() * sizeof(std::uint64_t));
-  }
+  const std::uint64_t bit = std::uint64_t{1} << (std::size_t(partition) % 64);
+  std::memcpy(out.data() + mask_offset(std::size_t(partition) / 64), &bit,
+              sizeof(bit));
   std::vector<Neighbor> padded(layout.k);  // default = +inf sentinels
   const std::size_t n = std::min(neighbors.size(), layout.k);
   std::copy(neighbors.begin(), neighbors.begin() + std::ptrdiff_t(n),
@@ -164,6 +175,7 @@ std::vector<std::byte> encode_slot_update(std::span<const Neighbor> neighbors,
 }
 
 mpi::Window::MergeOp knn_slot_merge(const SlotLayout& layout) {
+  check_layout(layout);
   return [layout](std::span<std::byte> target,
                   std::span<const std::byte> origin) {
     ANNSIM_CHECK(target.size() == layout.slot_bytes());
@@ -174,18 +186,13 @@ mpi::Window::MergeOp knn_slot_merge(const SlotLayout& layout) {
     std::memcpy(&o_count, origin.data(), sizeof(o_count));
 
     const std::size_t words = layout.mask_words();
-    std::vector<std::uint64_t> t_mask, o_mask;
-    if (words > 0) {
-      t_mask = read_mask(target, layout);
-      o_mask = read_mask(origin, layout);
-      // Failover retry that already landed: every origin partition is merged
-      // into this slot already, so the whole update is a duplicate. Drop it.
-      bool duplicate = true;
-      for (std::size_t w = 0; w < words; ++w) {
-        if ((o_mask[w] & ~t_mask[w]) != 0) duplicate = false;
-      }
-      if (duplicate) return;
+    // Failover retry that already landed: every origin partition is merged
+    // into this slot already, so the whole update is a duplicate. Drop it.
+    bool duplicate = true;
+    for (std::size_t w = 0; w < words; ++w) {
+      if ((mask_word(origin, w) & ~mask_word(target, w)) != 0) duplicate = false;
     }
+    if (duplicate) return;
 
     std::vector<Neighbor> t_nb(layout.k), o_nb(layout.k);
     std::memcpy(t_nb.data(), target.data() + layout.header_bytes(),
@@ -201,10 +208,9 @@ mpi::Window::MergeOp knn_slot_merge(const SlotLayout& layout) {
 
     const std::uint32_t new_count = t_count + o_count;
     std::memcpy(target.data(), &new_count, sizeof(new_count));
-    if (words > 0) {
-      for (std::size_t w = 0; w < words; ++w) t_mask[w] |= o_mask[w];
-      std::memcpy(target.data() + sizeof(std::uint64_t), t_mask.data(),
-                  words * sizeof(std::uint64_t));
+    for (std::size_t w = 0; w < words; ++w) {
+      const std::uint64_t both = mask_word(target, w) | mask_word(origin, w);
+      std::memcpy(target.data() + mask_offset(w), &both, sizeof(both));
     }
     std::vector<Neighbor> padded(layout.k);
     std::copy(merged.begin(),
@@ -217,6 +223,7 @@ mpi::Window::MergeOp knn_slot_merge(const SlotLayout& layout) {
 
 SlotHeader decode_slot_header(std::span<const std::byte> slot,
                               const SlotLayout& layout) {
+  check_layout(layout);
   ANNSIM_CHECK(slot.size() >= layout.header_bytes());
   SlotHeader out;
   std::memcpy(&out.merged_count, slot.data(), sizeof(out.merged_count));
@@ -226,6 +233,7 @@ SlotHeader decode_slot_header(std::span<const std::byte> slot,
 
 DecodedSlot decode_slot(std::span<const std::byte> slot,
                         const SlotLayout& layout) {
+  check_layout(layout);
   ANNSIM_CHECK(slot.size() >= layout.slot_bytes());
   DecodedSlot out;
   std::memcpy(&out.merged_count, slot.data(), sizeof(out.merged_count));

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstring>
 
 #include "annsim/common/rng.hpp"
 
@@ -46,17 +45,17 @@ TEST(Protocol, LocalResultRoundTrip) {
 }
 
 TEST(SlotLayout, SizesAndOffsets) {
-  SlotLayout layout{10};
-  EXPECT_EQ(layout.slot_bytes(), 8u + 10 * sizeof(Neighbor));
+  SlotLayout layout{10, 8};
+  EXPECT_EQ(layout.slot_bytes(), 16u + 10 * sizeof(Neighbor));
   EXPECT_EQ(layout.slot_offset(0), 0u);
   EXPECT_EQ(layout.slot_offset(3), 3 * layout.slot_bytes());
   EXPECT_EQ(layout.window_bytes(100), 100 * layout.slot_bytes());
 }
 
 TEST(SlotUpdate, PadsWithSentinels) {
-  SlotLayout layout{5};
+  SlotLayout layout{5, 4};
   std::vector<Neighbor> two{{1.f, 1}, {2.f, 2}};
-  auto bytes = encode_slot_update(two, layout);
+  auto bytes = encode_slot_update(two, layout, 0);
   EXPECT_EQ(bytes.size(), layout.slot_bytes());
   DecodedSlot slot = decode_slot(bytes, layout);
   EXPECT_EQ(slot.merged_count, 1u);
@@ -65,10 +64,10 @@ TEST(SlotUpdate, PadsWithSentinels) {
 }
 
 TEST(SlotMerge, EmptySlotTakesOriginAsIs) {
-  SlotLayout layout{3};
+  SlotLayout layout{3, 4};
   std::vector<std::byte> slot(layout.slot_bytes());  // zeroed: count == 0
   std::vector<Neighbor> mine{{1.f, 10}, {2.f, 20}};
-  auto update = encode_slot_update(mine, layout);
+  auto update = encode_slot_update(mine, layout, 0);
   knn_slot_merge(layout)(slot, update);
   DecodedSlot out = decode_slot(slot, layout);
   EXPECT_EQ(out.merged_count, 1u);
@@ -78,12 +77,12 @@ TEST(SlotMerge, EmptySlotTakesOriginAsIs) {
 }
 
 TEST(SlotMerge, AccumulatesAcrossPartitions) {
-  SlotLayout layout{3};
+  SlotLayout layout{3, 4};
   std::vector<std::byte> slot(layout.slot_bytes());
   const auto merge = knn_slot_merge(layout);
-  merge(slot, encode_slot_update(std::vector<Neighbor>{{3.f, 1}, {5.f, 2}}, layout));
-  merge(slot, encode_slot_update(std::vector<Neighbor>{{1.f, 3}, {4.f, 4}}, layout));
-  merge(slot, encode_slot_update(std::vector<Neighbor>{{2.f, 5}}, layout));
+  merge(slot, encode_slot_update(std::vector<Neighbor>{{3.f, 1}, {5.f, 2}}, layout, 0));
+  merge(slot, encode_slot_update(std::vector<Neighbor>{{1.f, 3}, {4.f, 4}}, layout, 1));
+  merge(slot, encode_slot_update(std::vector<Neighbor>{{2.f, 5}}, layout, 2));
   DecodedSlot out = decode_slot(slot, layout);
   EXPECT_EQ(out.merged_count, 3u);
   ASSERT_EQ(out.neighbors.size(), 3u);
@@ -93,7 +92,7 @@ TEST(SlotMerge, AccumulatesAcrossPartitions) {
 }
 
 TEST(SlotMerge, OrderIndependent) {
-  SlotLayout layout{4};
+  SlotLayout layout{4, 4};
   Rng rng(3);
   std::vector<std::vector<Neighbor>> parts(4);
   GlobalId id = 0;
@@ -104,7 +103,9 @@ TEST(SlotMerge, OrderIndependent) {
   auto run = [&](std::vector<std::size_t> order) {
     std::vector<std::byte> slot(layout.slot_bytes());
     const auto merge = knn_slot_merge(layout);
-    for (auto i : order) merge(slot, encode_slot_update(parts[i], layout));
+    for (auto i : order) {
+      merge(slot, encode_slot_update(parts[i], layout, PartitionId(i)));
+    }
     return decode_slot(slot, layout).neighbors;
   };
   const auto ref = run({0, 1, 2, 3});
@@ -113,23 +114,18 @@ TEST(SlotMerge, OrderIndependent) {
 }
 
 TEST(SlotMerge, ValidatesRegionSizes) {
-  SlotLayout layout{2};
+  SlotLayout layout{2, 4};
   std::vector<std::byte> small(4);
   std::vector<std::byte> slot(layout.slot_bytes());
   EXPECT_THROW(knn_slot_merge(layout)(slot, small), Error);
 }
 
-// ---- masked layout (failure detection arms n_partitions > 0) ----------
+// ---- partition mask ----------------------------------------------------
 
 TEST(MaskedSlot, LayoutSizesGrowByMaskWords) {
-  SlotLayout legacy{10};
-  EXPECT_EQ(legacy.mask_words(), 0u);
-  EXPECT_EQ(legacy.header_bytes(), 8u);
-
   SlotLayout masked{10, 64};
   EXPECT_EQ(masked.mask_words(), 1u);
   EXPECT_EQ(masked.header_bytes(), 16u);
-  EXPECT_EQ(masked.slot_bytes(), legacy.slot_bytes() + 8u);
 
   SlotLayout wide{10, 65};  // 65 partitions need a second mask word
   EXPECT_EQ(wide.mask_words(), 2u);
@@ -154,7 +150,8 @@ TEST(MaskedSlot, UpdateRecordsSearchedPartition) {
 TEST(MaskedSlot, MaskedEncodeRequiresThePartitionId) {
   SlotLayout layout{3, 8};
   std::vector<Neighbor> mine{{1.f, 10}};
-  EXPECT_THROW((void)encode_slot_update(mine, layout), Error);
+  EXPECT_THROW((void)encode_slot_update(mine, layout, kInvalidPartition), Error);
+  EXPECT_THROW((void)encode_slot_update(mine, layout, 8), Error);
 }
 
 TEST(MaskedSlot, DuplicatePartitionMergeIsIdempotent) {
@@ -186,20 +183,16 @@ TEST(MaskedSlot, DistinctPartitionsAccumulateMaskBits) {
   EXPECT_EQ(out.neighbors[0].id, 2u);  // still distance-sorted
 }
 
-TEST(MaskedSlot, LegacyLayoutBytesUnchangedByMaskSupport) {
-  // n_partitions == 0 must produce the exact pre-mask wire bytes, or
-  // fault-free runs would stop being bit-identical to the old engine.
+TEST(MaskedSlot, LayoutWithoutPartitionsIsRejected) {
+  // Every slot carries a partition mask; a layout that declares no
+  // partitions has no mask and is refused by every slot function.
   SlotLayout layout{2};
   std::vector<Neighbor> mine{{1.f, 7}};
-  auto update = encode_slot_update(mine, layout);
-  ASSERT_EQ(update.size(), 8u + 2 * sizeof(Neighbor));
-  std::uint32_t count = 0;
-  std::memcpy(&count, update.data(), sizeof(count));
-  EXPECT_EQ(count, 1u);
-  Neighbor first;
-  std::memcpy(&first, update.data() + 8, sizeof(first));
-  EXPECT_EQ(first.id, 7u);
-  EXPECT_TRUE(decode_slot(update, layout).mask.empty());
+  std::vector<std::byte> slot(layout.slot_bytes());
+  EXPECT_THROW((void)encode_slot_update(mine, layout, 0), Error);
+  EXPECT_THROW((void)knn_slot_merge(layout), Error);
+  EXPECT_THROW((void)decode_slot(slot, layout), Error);
+  EXPECT_THROW((void)decode_slot_header(slot, layout), Error);
 }
 
 }  // namespace

@@ -80,13 +80,13 @@ TEST(ProtocolFuzz, OversizedLengthFieldThrows) {
 }
 
 TEST(ProtocolFuzz, SlotDecodeRejectsShortBuffers) {
-  const SlotLayout layout{10};
+  const SlotLayout layout{10, 8};
   std::vector<std::byte> tiny(layout.slot_bytes() - 1);
   EXPECT_THROW((void)decode_slot(tiny, layout), Error);
 }
 
 TEST(ProtocolFuzz, MergeOpRejectsMismatchedRegions) {
-  const SlotLayout layout{4};
+  const SlotLayout layout{4, 8};
   const auto merge = knn_slot_merge(layout);
   std::vector<std::byte> slot(layout.slot_bytes());
   std::vector<std::byte> short_origin(layout.slot_bytes() - 8);

@@ -22,7 +22,7 @@ TEST(MpiIntegration, KnnMergeThroughWindowMatchesSequentialMerge) {
   // into the master's slot; the final content must equal the sequential
   // merge regardless of arrival order.
   const int n_workers = 7;
-  const core::SlotLayout layout{10};
+  const core::SlotLayout layout{10, std::size_t(n_workers)};
   Rng gen(42);
 
   std::vector<std::vector<Neighbor>> partials(n_workers);
@@ -45,7 +45,8 @@ TEST(MpiIntegration, KnnMergeThroughWindowMatchesSequentialMerge) {
       win.lock_shared(0);
       win.get_accumulate(
           0, layout.slot_offset(0),
-          core::encode_slot_update(partials[std::size_t(c.rank() - 1)], layout),
+          core::encode_slot_update(partials[std::size_t(c.rank() - 1)], layout,
+                                   PartitionId(c.rank() - 1)),
           core::knn_slot_merge(layout));
       win.unlock(0);
     }
