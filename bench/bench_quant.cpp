@@ -236,7 +236,6 @@ int main(int argc, char** argv) {
     cfg.n_workers = 4;
     cfg.n_probe = 4;
     cfg.threads_per_worker = 1;
-    cfg.local_index = core::LocalIndexKind::kSegmented;
     cfg.quantize_frozen = true;
     cfg.float_cache_fraction = kDefaultFraction;
     cfg.hnsw = hp;

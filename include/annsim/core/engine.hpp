@@ -22,6 +22,7 @@
 #include <span>
 #include <vector>
 
+#include "annsim/common/serialize.hpp"
 #include "annsim/core/local_index.hpp"
 #include "annsim/core/partitioner.hpp"
 #include "annsim/data/dataset.hpp"
@@ -61,13 +62,15 @@ struct EngineConfig {
 
   /// Per-partition search algorithm (§VI: "any algorithm can be used for
   /// local indexing"). kBruteForce + exact_routing = exact distributed k-NN.
+  /// The default kHnsw is the segmented index, so it accepts writes; the
+  /// other kinds are read-only.
   LocalIndexKind local_index = LocalIndexKind::kHnsw;
   hnsw::HnswParams hnsw;
   pq::IvfPqParams ivfpq;  ///< used when local_index == kIvfPq
-  /// Mutable-delta capacity per replica (local_index == kSegmented): how many
+  /// Mutable-delta capacity per replica (local_index == kHnsw): how many
   /// streamed inserts a partition absorbs before compact() must re-freeze.
   std::size_t segment_delta_capacity = 1024;
-  /// local_index == kSegmented only: frozen segments store SQ8 code rows
+  /// local_index == kHnsw only: frozen segments store SQ8 code rows
   /// (1 byte/dim) plus an exact float re-rank cache instead of full floats.
   /// ~4x smaller resident partitions and checkpoints; L2 / InnerProduct only.
   bool quantize_frozen = false;
@@ -212,7 +215,7 @@ struct WriteStats {
 };
 
 /// Aggregate quantized-tier (SQ8) footprint across all hosted replicas.
-/// Meaningful when local_index == kSegmented with quantize_frozen; all zero
+/// Meaningful when local_index == kHnsw with quantize_frozen; all zero
 /// otherwise. Totals double-count with replication, like partition_sizes().
 struct CompressionStats {
   std::size_t quant_rows = 0;            ///< rows stored as SQ8 codes
@@ -286,7 +289,7 @@ class DistributedAnnEngine {
                                         const QueryDoneFn& on_query_done = {},
                                         std::span<const EffortOverride> efforts = {});
 
-  // ---- streaming writes (local_index == kSegmented only) ----
+  // ---- streaming writes (local_index == kHnsw; read-only kinds throw) ----
 
   /// Insert a batch of vectors into the live index. The master routes each
   /// row to its nearest partition (same VP-tree as queries) and ships it to
@@ -343,7 +346,7 @@ class DistributedAnnEngine {
   /// Attach per-worker write-ahead logs under `dir` (see
   /// EngineConfig::wal_dir). Existing logs are recovered and replayed into
   /// the live replicas, so calling this on a freshly built engine is a
-  /// no-op beyond arming durability. Requires local_index == kSegmented.
+  /// no-op beyond arming durability. Requires local_index == kHnsw.
   void enable_wal(const std::string& dir, bool group_commit = true);
 
   /// Is `id` present (and not tombstoned) in any hosted segmented replica?
@@ -417,6 +420,19 @@ class DistributedAnnEngine {
   };
   /// All replicas a worker hosts, keyed by partition id.
   using WorkerStore = std::map<PartitionId, Replica>;
+
+  /// A replica travels as one record — partition id, dataset bytes, index
+  /// bytes — over replication, peer-stream heal and the engine file alike.
+  static void write_replica(BinaryWriter& w, PartitionId pid,
+                            const Replica& rep);
+  [[nodiscard]] std::pair<PartitionId, Replica> read_replica(
+      BinaryReader& r, std::size_t dim) const;
+  /// The one restore path: rebuild a replica of `dim`-wide rows from its
+  /// dataset and index bytes (shipped, saved or checkpointed) under this
+  /// engine's config.
+  [[nodiscard]] Replica restore_replica(std::span<const std::byte> data_bytes,
+                                        std::span<const std::byte> index_bytes,
+                                        std::size_t dim) const;
 
   /// `slots` names the result transport for master and workers together:
   /// RMA accumulation into masked slots, or two-sided messages when null.

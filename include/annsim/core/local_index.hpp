@@ -4,10 +4,12 @@
 /// "Our approach is extensible in that any algorithm can be used for local
 /// indexing and searching instead of HNSW" (§VI).
 ///
-/// Three implementations ship: HNSW (the paper's choice), an exact
-/// brute-force scan, and an exact VP-tree. Workers build/serialize replicas
-/// through this interface, so swapping the local algorithm never touches the
-/// distributed machinery.
+/// Four implementations ship: HNSW (the paper's choice), an exact
+/// brute-force scan, an exact VP-tree and compressed IVF-PQ. HNSW is the
+/// segmented index (segment::SegmentedIndex): a fresh build is one frozen
+/// segment plus an empty delta, so the default kind also absorbs streaming
+/// writes. Workers build/serialize replicas through this interface, so
+/// swapping the local algorithm never touches the distributed machinery.
 
 #include <cstdint>
 #include <memory>
@@ -29,13 +31,17 @@ class SegmentedIndex;
 namespace annsim::core {
 
 /// Which algorithm serves local k-NN inside each partition.
+/// Byte 0 (a bare frozen HnswIndex image) is retired: engine files and
+/// checkpoints carrying it are rejected.
 enum class LocalIndexKind : std::uint8_t {
-  kHnsw = 0,        ///< approximate, the paper's configuration
   kBruteForce = 1,  ///< exact linear scan (turns the engine into exact k-NN
                     ///< when combined with exact_routing)
   kVpTree = 2,      ///< exact metric-tree search
   kIvfPq = 3,       ///< compressed (IVF-PQ): tiny memory, recall ceiling
-  kSegmented = 4,   ///< live-mutable: frozen segments + delta + tombstones
+  /// Approximate, the paper's configuration, and live-mutable: frozen HNSW
+  /// segments + a mutable HNSW delta + tombstones.
+  kHnsw = 4,
+  kSegmented = kHnsw,  ///< the same kind, named for its write tier
 };
 
 [[nodiscard]] const char* local_index_kind_name(LocalIndexKind kind) noexcept;
@@ -60,13 +66,10 @@ class LocalIndex {
 
   // ---- write plane (live mutability) ----------------------------------
   //
-  // Frozen kinds reject writes with a typed Error naming the kind; only
-  // kSegmented overrides these. The engine gates its insert()/remove() API
-  // on supports_writes() so the failure surfaces at the master, not deep
-  // inside a worker thread.
-
-  /// True when insert()/erase()/compact() are implemented.
-  [[nodiscard]] virtual bool supports_writes() const noexcept { return false; }
+  // Read-only kinds (brute force, VP-tree, IVF-PQ) reject writes with a
+  // typed Error naming the kind; only HNSW overrides these. The engine gates
+  // its insert()/remove()/compact() API on the configured kind so the
+  // failure surfaces at the master, not deep inside a worker thread.
 
   /// Absorb one vector under `id`. Throws for read-only kinds.
   virtual void insert(std::span<const float> vec, GlobalId id);
@@ -82,7 +85,7 @@ class LocalIndex {
   /// Rows waiting in the mutable delta tier (0 for read-only kinds).
   [[nodiscard]] virtual std::size_t delta_fill() const { return 0; }
 
-  /// The underlying segmented index when kind() == kSegmented, else null —
+  /// The underlying segmented index when kind() == kHnsw, else null —
   /// the hook checkpointing uses to snapshot segment parts incrementally.
   [[nodiscard]] virtual const segment::SegmentedIndex* segmented()
       const noexcept {
@@ -93,12 +96,12 @@ class LocalIndex {
 /// Construction parameters shared by every kind.
 struct LocalIndexParams {
   LocalIndexKind kind = LocalIndexKind::kHnsw;
-  hnsw::HnswParams hnsw;    ///< used when kind == kHnsw or kSegmented
+  hnsw::HnswParams hnsw;    ///< used when kind == kHnsw
   pq::IvfPqParams ivfpq;    ///< used when kind == kIvfPq (L2 only)
   simd::Metric metric = simd::Metric::kL2;
-  /// Delta capacity per segmented replica (kind == kSegmented).
+  /// Delta capacity per HNSW replica (kind == kHnsw).
   std::size_t segment_delta_capacity = 1024;
-  /// kSegmented only: store frozen segments as SQ8 codes with an exact float
+  /// kHnsw only: store frozen segments as SQ8 codes with an exact float
   /// re-rank cache (see segment::SegmentedParams). L2 / InnerProduct only.
   bool quantize_frozen = false;
   /// Fraction of quantized rows kept as exact floats for re-ranking.

@@ -22,6 +22,24 @@
 
 namespace annsim::core {
 
+namespace {
+
+/// The one mapping from engine config to local-index params. build() then
+/// seeds HNSW per partition; restored replicas carry params in their image.
+LocalIndexParams local_index_params(const EngineConfig& config) {
+  LocalIndexParams lp;
+  lp.kind = config.local_index;
+  lp.hnsw = config.hnsw;
+  lp.ivfpq = config.ivfpq;
+  lp.metric = config.hnsw.metric;
+  lp.segment_delta_capacity = config.segment_delta_capacity;
+  lp.quantize_frozen = config.quantize_frozen;
+  lp.float_cache_fraction = config.float_cache_fraction;
+  return lp;
+}
+
+}  // namespace
+
 // Validate outside the SPMD region: a rank that throws mid-collective would
 // leave its peers blocked, as in real MPI. Field-specific messages so a
 // misconfigured caller learns which knob is wrong, not just that something is.
@@ -54,14 +72,14 @@ void validate_engine_config(const EngineConfig& config) {
     ANNSIM_CHECK_MSG(config.hnsw.metric == simd::Metric::kL2,
                      "IVF-PQ local indexes support L2 only");
   }
-  if (config.local_index == LocalIndexKind::kSegmented) {
+  if (config.local_index == LocalIndexKind::kHnsw) {
     ANNSIM_CHECK_MSG(config.segment_delta_capacity >= 1,
                      "segment_delta_capacity must be nonzero: the mutable "
                      "delta needs room for at least one streamed insert");
   }
   if (config.quantize_frozen) {
-    ANNSIM_CHECK_MSG(config.local_index == LocalIndexKind::kSegmented,
-                     "quantize_frozen requires the segmented local index "
+    ANNSIM_CHECK_MSG(config.local_index == LocalIndexKind::kHnsw,
+                     "quantize_frozen requires the HNSW local index "
                      "(quantization happens when segments freeze)");
     ANNSIM_CHECK_MSG(config.hnsw.metric == simd::Metric::kL2 ||
                          config.hnsw.metric == simd::Metric::kInnerProduct,
@@ -138,9 +156,9 @@ void validate_engine_config(const EngineConfig& config) {
                      "wal_dir");
   }
   if (!config.wal_dir.empty()) {
-    ANNSIM_CHECK_MSG(config.local_index == LocalIndexKind::kSegmented,
-                     "wal_dir (durable writes) requires the segmented local "
-                     "index — only segmented replicas accept replayed writes");
+    ANNSIM_CHECK_MSG(config.local_index == LocalIndexKind::kHnsw,
+                     "wal_dir (durable writes) requires the HNSW local index "
+                     "— the read-only kinds cannot replay writes");
   }
   ANNSIM_CHECK_MSG(config.checkpoint_every_rounds >= 1,
                    "checkpoint_every_rounds must be nonzero (1 = every write "
@@ -228,15 +246,8 @@ void DistributedAnnEngine::build() {
     WallTimer hnsw_timer;
     Replica primary;
     primary.data = std::make_unique<data::Dataset>(std::move(res.partition));
-    LocalIndexParams lp;
-    lp.kind = config_.local_index;
-    lp.hnsw = config_.hnsw;
+    LocalIndexParams lp = local_index_params(config_);
     lp.hnsw.seed = Rng(config_.seed).split(w).next();
-    lp.ivfpq = config_.ivfpq;
-    lp.metric = config_.hnsw.metric;
-    lp.segment_delta_capacity = config_.segment_delta_capacity;
-    lp.quantize_frozen = config_.quantize_frozen;
-    lp.float_cache_fraction = config_.float_cache_fraction;
     if (config_.parallel_local_build && config_.threads_per_worker > 1) {
       // The paper's hybrid model: each MPI process builds its local index
       // with an OpenMP-style thread team.
@@ -247,10 +258,10 @@ void DistributedAnnEngine::build() {
     }
     hnsw_seconds[w] = hnsw_timer.seconds();
     part_sizes[w] = primary.data->size();
-    if (config_.local_index == LocalIndexKind::kSegmented) {
-      // A segmented index owns a copy of its rows, so keep the replica's
-      // Dataset an empty husk (dim only) rather than storing them twice;
-      // replication and checkpointing ship the index image, which is
+    if (primary.index->segmented() != nullptr) {
+      // An HNSW (segmented) index owns a copy of its rows, so keep the
+      // replica's Dataset an empty husk (dim only) rather than storing them
+      // twice; replication and checkpointing ship the index image, which is
       // self-contained.
       primary.data = std::make_unique<data::Dataset>(0, base_->dim());
     }
@@ -261,9 +272,7 @@ void DistributedAnnEngine::build() {
     const std::size_t r = config_.replication;
     if (r > 1) {
       BinaryWriter pack;
-      pack.write(PartitionId(w));
-      pack.write_vector(pack_dataset(*primary.data));
-      pack.write_vector(primary.index->to_bytes());
+      write_replica(pack, PartitionId(w), primary);
       for (std::size_t j = 1; j < r; ++j) {
         const int dest = int((w + j) % P);
         grp.send(dest, kTagReplica, pack.bytes());
@@ -271,22 +280,7 @@ void DistributedAnnEngine::build() {
       for (std::size_t j = 1; j < r; ++j) {
         mpi::Message m = grp.recv(mpi::kAnySource, kTagReplica);
         BinaryReader rd(m.payload);
-        const auto pid = rd.read<PartitionId>();
-        const auto data_bytes = rd.read_vector<std::byte>();
-        const auto index_bytes = rd.read_vector<std::byte>();
-        Replica rep;
-        rep.data = std::make_unique<data::Dataset>(
-            unpack_dataset(data_bytes, base_->dim()));
-        LocalIndexParams rep_lp;
-        rep_lp.kind = config_.local_index;
-        rep_lp.hnsw = config_.hnsw;
-        rep_lp.ivfpq = config_.ivfpq;
-        rep_lp.metric = config_.hnsw.metric;
-        rep_lp.segment_delta_capacity = config_.segment_delta_capacity;
-        rep_lp.quantize_frozen = config_.quantize_frozen;
-        rep_lp.float_cache_fraction = config_.float_cache_fraction;
-        rep.index = local_index_from_bytes(index_bytes, rep.data.get(), rep_lp);
-        workers_[w].emplace(pid, std::move(rep));
+        workers_[w].emplace(read_replica(rd, base_->dim()));
       }
     }
     repl_seconds[w] = repl_timer.seconds();
@@ -542,8 +536,8 @@ WriteStats DistributedAnnEngine::remove(std::span<const GlobalId> ids) {
 WriteStats DistributedAnnEngine::apply_writes(
     const data::Dataset* rows, std::span<const GlobalId> deletes) {
   ANNSIM_CHECK_MSG(router_.has_value(), "engine not built yet");
-  ANNSIM_CHECK_MSG(config_.local_index == LocalIndexKind::kSegmented,
-                   "streaming writes need local_index=segmented; '"
+  ANNSIM_CHECK_MSG(config_.local_index == LocalIndexKind::kHnsw,
+                   "streaming writes need local_index=hnsw; '"
                        << local_index_kind_name(config_.local_index)
                        << "' replicas are frozen");
   ANNSIM_CHECK_MSG(config_.strategy == DispatchStrategy::kMasterWorker,
@@ -769,8 +763,8 @@ WriteStats DistributedAnnEngine::apply_writes(
 
 std::uint64_t DistributedAnnEngine::compact() {
   ANNSIM_CHECK_MSG(router_.has_value(), "engine not built yet");
-  ANNSIM_CHECK_MSG(config_.local_index == LocalIndexKind::kSegmented,
-                   "compact() needs local_index=segmented; '"
+  ANNSIM_CHECK_MSG(config_.local_index == LocalIndexKind::kHnsw,
+                   "compact() needs local_index=hnsw; '"
                        << local_index_kind_name(config_.local_index)
                        << "' has no delta tier");
   std::lock_guard api(sync_->write_api);
@@ -1044,15 +1038,6 @@ recovery::HealReport DistributedAnnEngine::heal() {
     }
   }
 
-  LocalIndexParams lp;
-  lp.kind = config_.local_index;
-  lp.hnsw = config_.hnsw;
-  lp.ivfpq = config_.ivfpq;
-  lp.metric = config_.hnsw.metric;
-  lp.segment_delta_capacity = config_.segment_delta_capacity;
-  lp.quantize_frozen = config_.quantize_frozen;
-  lp.float_cache_fraction = config_.float_cache_fraction;
-
   // 3. Prefer the checkpoint store: a durable snapshot restores locally with
   //    no cluster traffic at all (the LANNS model — reload, don't rebuild).
   std::vector<RestoreJob> stream_plan;
@@ -1113,11 +1098,9 @@ recovery::HealReport DistributedAnnEngine::heal() {
       ANNSIM_CHECK_MSG(
           loaded.meta.index_kind == std::uint8_t(config_.local_index),
           "checkpoint index kind does not match the engine config");
-      Replica rep;
-      rep.data = std::make_unique<data::Dataset>(
-          unpack_dataset(loaded.data_bytes, router_->dim()));
-      rep.index = local_index_from_bytes(loaded.index_bytes, rep.data.get(), lp);
-      workers_[job.worker].emplace(job.partition, std::move(rep));
+      workers_[job.worker].emplace(
+          job.partition, restore_replica(loaded.data_bytes, loaded.index_bytes,
+                                         router_->dim()));
       ++report.replicas_restored_from_checkpoint;
       // The checkpoint only covers records up to its committed watermark;
       // replay the worker's own WAL tail past it (filtered to this
@@ -1179,11 +1162,8 @@ recovery::HealReport DistributedAnnEngine::heal() {
       // order — per-source FIFO makes the pairing deterministic.
       for (const Transfer& tr : transfers) {
         if (tr.src != me) continue;
-        const Replica& rep = workers_[me].at(tr.partition);
         BinaryWriter pack;
-        pack.write(tr.partition);
-        pack.write_vector(pack_dataset(*rep.data));
-        pack.write_vector(rep.index->to_bytes());
+        write_replica(pack, tr.partition, workers_[me].at(tr.partition));
         world.send(int(tr.dst) + 1, kTagReplica, pack.bytes());
       }
       for (const Transfer& tr : transfers) {
@@ -1193,15 +1173,9 @@ recovery::HealReport DistributedAnnEngine::heal() {
                                             << tr.partition << " from worker "
                                             << tr.src << " timed out");
         BinaryReader rd(m->payload);
-        const auto pid = rd.read<PartitionId>();
-        ANNSIM_CHECK(pid == tr.partition);
-        const auto data_bytes = rd.read_vector<std::byte>();
-        const auto index_bytes = rd.read_vector<std::byte>();
-        Replica rep;
-        rep.data = std::make_unique<data::Dataset>(
-            unpack_dataset(data_bytes, router_->dim()));
-        rep.index = local_index_from_bytes(index_bytes, rep.data.get(), lp);
-        workers_[me].emplace(pid, std::move(rep));
+        auto restored = read_replica(rd, router_->dim());
+        ANNSIM_CHECK(restored.first == tr.partition);
+        workers_[me].emplace(std::move(restored));
       }
     });
     report.replicas_restored_from_peer = transfers.size();
@@ -1241,8 +1215,8 @@ void DistributedAnnEngine::enable_wal(const std::string& dir,
                                       bool group_commit) {
   ANNSIM_CHECK_MSG(router_.has_value(), "engine not built yet");
   ANNSIM_CHECK_MSG(!dir.empty(), "enable_wal: directory must be non-empty");
-  ANNSIM_CHECK_MSG(config_.local_index == LocalIndexKind::kSegmented,
-                   "the write-ahead log requires the segmented local index");
+  ANNSIM_CHECK_MSG(config_.local_index == LocalIndexKind::kHnsw,
+                   "the write-ahead log requires the HNSW local index");
   std::lock_guard write_api(sync_->write_api);
   std::unique_lock topology(sync_->topology);
   config_.wal_dir = dir;
@@ -1317,6 +1291,33 @@ std::size_t DistributedAnnEngine::replay_wal_into_worker(
   return replayed;
 }
 
+// -------------------------------------------------------------- replicas ---
+
+void DistributedAnnEngine::write_replica(BinaryWriter& w, PartitionId pid,
+                                         const Replica& rep) {
+  w.write(pid);
+  w.write_vector(pack_dataset(*rep.data));
+  w.write_vector(rep.index->to_bytes());
+}
+
+std::pair<PartitionId, DistributedAnnEngine::Replica>
+DistributedAnnEngine::read_replica(BinaryReader& r, std::size_t dim) const {
+  const auto pid = r.read<PartitionId>();
+  const auto data_bytes = r.read_vector<std::byte>();
+  const auto index_bytes = r.read_vector<std::byte>();
+  return {pid, restore_replica(data_bytes, index_bytes, dim)};
+}
+
+DistributedAnnEngine::Replica DistributedAnnEngine::restore_replica(
+    std::span<const std::byte> data_bytes,
+    std::span<const std::byte> index_bytes, std::size_t dim) const {
+  Replica rep;
+  rep.data = std::make_unique<data::Dataset>(unpack_dataset(data_bytes, dim));
+  rep.index = local_index_from_bytes(index_bytes, rep.data.get(),
+                                     local_index_params(config_));
+  return rep;
+}
+
 // ----------------------------------------------------------- persistence ---
 
 void DistributedAnnEngine::save(const std::string& path) const {
@@ -1360,11 +1361,7 @@ void DistributedAnnEngine::save(const std::string& path) const {
   w.write(std::uint64_t(workers_.size()));
   for (const auto& store : workers_) {
     w.write(std::uint64_t(store.size()));
-    for (const auto& [pid, rep] : store) {
-      w.write(pid);
-      w.write_vector(pack_dataset(*rep.data));
-      w.write_vector(rep.index->to_bytes());
-    }
+    for (const auto& [pid, rep] : store) write_replica(w, pid, rep);
   }
 
   // Build stats travel along so a loaded engine reports sane metadata.
@@ -1435,25 +1432,10 @@ DistributedAnnEngine DistributedAnnEngine::load(
   ANNSIM_CHECK(n_workers == eng.config_.n_workers);
   eng.workers_.resize(n_workers);
   eng.partition_last_lsn_.assign(n_workers, 0);
-  LocalIndexParams lp;
-  lp.kind = eng.config_.local_index;
-  lp.hnsw = eng.config_.hnsw;
-  lp.ivfpq = eng.config_.ivfpq;
-  lp.metric = eng.config_.hnsw.metric;
-  lp.segment_delta_capacity = eng.config_.segment_delta_capacity;
-  lp.quantize_frozen = eng.config_.quantize_frozen;
-  lp.float_cache_fraction = eng.config_.float_cache_fraction;
   for (auto& store : eng.workers_) {
     const auto n_replicas = r.read<std::uint64_t>();
     for (std::uint64_t i = 0; i < n_replicas; ++i) {
-      const auto pid = r.read<PartitionId>();
-      const auto data_bytes = r.read_vector<std::byte>();
-      const auto index_bytes = r.read_vector<std::byte>();
-      Replica rep;
-      rep.data = std::make_unique<data::Dataset>(
-          unpack_dataset(data_bytes, eng.router_->dim()));
-      rep.index = local_index_from_bytes(index_bytes, rep.data.get(), lp);
-      store.emplace(pid, std::move(rep));
+      store.emplace(eng.read_replica(r, eng.router_->dim()));
     }
   }
 
@@ -1470,8 +1452,8 @@ DistributedAnnEngine DistributedAnnEngine::load(
     // Re-attach the WALs and replay any records past the engine file's LSN
     // edge: writes acked after the save() but before the crash live only in
     // the logs, and the ack contract says they must come back.
-    ANNSIM_CHECK_MSG(eng.config_.local_index == LocalIndexKind::kSegmented,
-                     "wal_dir requires the segmented local index");
+    ANNSIM_CHECK_MSG(eng.config_.local_index == LocalIndexKind::kHnsw,
+                     "wal_dir requires the HNSW local index");
     eng.config_.wal_dir = wal_dir;
     eng.open_wals();
     const std::uint64_t edge = eng.next_lsn_ > 0 ? eng.next_lsn_ - 1 : 0;

@@ -11,7 +11,7 @@ namespace {
 [[noreturn]] void throw_read_only(LocalIndexKind kind, const char* op) {
   std::ostringstream os;
   os << "LocalIndex::" << op << ": '" << local_index_kind_name(kind)
-     << "' is a read-only index kind; streaming writes need kind=segmented";
+     << "' is a read-only index kind; streaming writes need kind=hnsw";
   throw Error(os.str());
 }
 
@@ -28,29 +28,6 @@ bool LocalIndex::compact(ThreadPool* /*pool*/) {
 }
 
 namespace {
-
-class HnswLocalIndex final : public LocalIndex {
- public:
-  HnswLocalIndex(hnsw::HnswIndex index) : index_(std::move(index)) {
-    // Both construction paths (build(), from_bytes()) already hand over a
-    // frozen index; freeze() is idempotent and makes the read-optimized
-    // flat form a guarantee of this wrapper rather than a convention.
-    index_.freeze();
-  }
-
-  std::vector<Neighbor> search(const float* query, std::size_t k,
-                               std::size_t ef) const override {
-    return index_.search(query, k, ef);
-  }
-
-  LocalIndexKind kind() const noexcept override { return LocalIndexKind::kHnsw; }
-  std::size_t size() const noexcept override { return index_.size(); }
-
-  std::vector<std::byte> to_bytes() const override { return index_.to_bytes(); }
-
- private:
-  hnsw::HnswIndex index_;
-};
 
 class BruteForceLocalIndex final : public LocalIndex {
  public:
@@ -126,11 +103,12 @@ class IvfPqLocalIndex final : public LocalIndex {
   pq::IvfPqIndex index_;
 };
 
-/// Adapter exposing segment::SegmentedIndex through the LocalIndex plug
-/// point. Unlike the read-only kinds it *owns* its data (segments reference
-/// their own frozen Datasets; the delta pre-allocates), so the partition
-/// Dataset handed to the factories is copied once at build and unused on the
-/// from_bytes path — replicas ship the full image in the index bytes.
+/// The HNSW kind: segment::SegmentedIndex behind the LocalIndex plug point.
+/// A fresh build is one frozen segment plus an empty delta. Unlike the
+/// read-only kinds it *owns* its data (segments reference their own frozen
+/// Datasets; the delta pre-allocates), so the partition Dataset handed to
+/// the factories is copied once at build and unused on the from_bytes path —
+/// replicas ship the full image in the index bytes.
 class SegmentedLocalIndex final : public LocalIndex {
  public:
   explicit SegmentedLocalIndex(std::unique_ptr<segment::SegmentedIndex> idx)
@@ -141,14 +119,11 @@ class SegmentedLocalIndex final : public LocalIndex {
     return idx_->search(query, k, ef);
   }
 
-  LocalIndexKind kind() const noexcept override {
-    return LocalIndexKind::kSegmented;
-  }
+  LocalIndexKind kind() const noexcept override { return LocalIndexKind::kHnsw; }
   std::size_t size() const noexcept override { return idx_->size(); }
 
   std::vector<std::byte> to_bytes() const override { return idx_->to_bytes(); }
 
-  bool supports_writes() const noexcept override { return true; }
   void insert(std::span<const float> vec, GlobalId id) override {
     idx_->insert(vec, id);
   }
@@ -177,11 +152,10 @@ segment::SegmentedParams segmented_params(const LocalIndexParams& params) {
 
 const char* local_index_kind_name(LocalIndexKind kind) noexcept {
   switch (kind) {
-    case LocalIndexKind::kHnsw: return "hnsw";
     case LocalIndexKind::kBruteForce: return "bruteforce";
     case LocalIndexKind::kVpTree: return "vptree";
     case LocalIndexKind::kIvfPq: return "ivfpq";
-    case LocalIndexKind::kSegmented: return "segmented";
+    case LocalIndexKind::kSegmented: return "hnsw";
   }
   return "?";
 }
@@ -191,13 +165,6 @@ std::unique_ptr<LocalIndex> build_local_index(const data::Dataset* data,
                                               ThreadPool* pool) {
   ANNSIM_CHECK(data != nullptr);
   switch (params.kind) {
-    case LocalIndexKind::kHnsw: {
-      hnsw::HnswParams hp = params.hnsw;
-      hp.metric = params.metric;
-      hnsw::HnswIndex index(data, hp);
-      index.build(pool);
-      return std::make_unique<HnswLocalIndex>(std::move(index));
-    }
     case LocalIndexKind::kBruteForce:
       return std::make_unique<BruteForceLocalIndex>(data, params.metric);
     case LocalIndexKind::kVpTree:
@@ -211,7 +178,7 @@ std::unique_ptr<LocalIndex> build_local_index(const data::Dataset* data,
           std::make_unique<segment::SegmentedIndex>(
               data->slice(0, data->size()), segmented_params(params), pool));
   }
-  ANNSIM_CHECK_MSG(false, "unknown local index kind");
+  ANNSIM_CHECK_MSG(false, "unknown local index kind " << int(params.kind));
   return nullptr;
 }
 
@@ -220,10 +187,6 @@ std::unique_ptr<LocalIndex> local_index_from_bytes(
     const LocalIndexParams& params) {
   ANNSIM_CHECK(data != nullptr);
   switch (params.kind) {
-    case LocalIndexKind::kHnsw:
-      // Params (M, ef_construction, metric) travel inside the byte image.
-      return std::make_unique<HnswLocalIndex>(
-          hnsw::HnswIndex::from_bytes(bytes, data));
     case LocalIndexKind::kBruteForce:
       return std::make_unique<BruteForceLocalIndex>(data, params.metric);
     case LocalIndexKind::kVpTree:
@@ -231,8 +194,9 @@ std::unique_ptr<LocalIndex> local_index_from_bytes(
     case LocalIndexKind::kIvfPq:
       return std::make_unique<IvfPqLocalIndex>(data, params.ivfpq);
     case LocalIndexKind::kSegmented: {
-      // The image is self-contained (it owns its vectors); `data` is the
-      // replica's empty placeholder Dataset, used only to sanity-check dim.
+      // The image is self-contained (it owns its vectors and its HNSW
+      // params); `data` is the replica's empty placeholder Dataset, used
+      // only to sanity-check dim.
       auto idx = segment::SegmentedIndex::from_bytes(bytes);
       ANNSIM_CHECK_MSG(data->dim() == 0 || data->dim() == idx->dim(),
                        "segmented image dim " << idx->dim()
@@ -241,7 +205,9 @@ std::unique_ptr<LocalIndex> local_index_from_bytes(
       return std::make_unique<SegmentedLocalIndex>(std::move(idx));
     }
   }
-  ANNSIM_CHECK_MSG(false, "unknown local index kind");
+  // Byte 0, a bare frozen HnswIndex image, is retired and lands here too.
+  ANNSIM_CHECK_MSG(false, "unknown or retired local index kind "
+                              << int(params.kind));
   return nullptr;
 }
 

@@ -169,7 +169,6 @@ ScenarioResult run_scenario(const ScenarioConfig& cfg,
   ec.threads_per_worker = 1;
   ec.one_sided = false;
   ec.result_timeout_ms = 0.0;
-  ec.local_index = core::LocalIndexKind::kSegmented;
   ec.segment_delta_capacity = 64;
   ec.partitioner.vantage_candidates = 4;
   ec.partitioner.vantage_sample = 16;

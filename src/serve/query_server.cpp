@@ -56,12 +56,8 @@ QueryServer::QueryServer(core::DistributedAnnEngine* engine,
                    "retry_backoff_ms cannot be negative");
   ANNSIM_CHECK_MSG(
       config_.compact_at_fill == 0 ||
-          engine_->config().local_index == core::LocalIndexKind::kSegmented,
-      "compact_at_fill requires a segmented engine (local_index=segmented)");
-  ANNSIM_CHECK_MSG(
-      config_.wal_dir.empty() ||
-          engine_->config().local_index == core::LocalIndexKind::kSegmented,
-      "wal_dir requires a segmented engine (local_index=segmented)");
+          engine_->config().local_index == core::LocalIndexKind::kHnsw,
+      "compact_at_fill requires an HNSW engine (local_index=hnsw)");
   if (!config_.wal_dir.empty() && engine_->config().wal_dir.empty()) {
     // Attach before the scheduler thread starts: enable_wal replays any
     // leftover tail into the replicas, and serving must not observe a

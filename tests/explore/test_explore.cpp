@@ -5,12 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "annsim/check/check.hpp"
 #include "annsim/common/error.hpp"
 #include "annsim/explore/explore.hpp"
 #include "annsim/mpi/mpi.hpp"
@@ -171,9 +173,16 @@ TEST(Explore, TimeoutIsAChoicePointAndBothOutcomesReachable) {
   std::set<bool> outcomes;
   do {
     bool got = false;
+    std::uint64_t residue = 0;
     auto out = run_controlled(*ctrl, dfs.strategy(), [&] {
       mpi::Runtime rt(2);
       rt.set_schedule(ctrl);
+      // The timeout outcome abandons rank 1's message by design: declare
+      // tag 9 best-effort, so the checker counts it instead of failing.
+      check::CheckOptions opts;
+      opts.enabled = true;
+      opts.best_effort_tags = {9};
+      rt.configure_check(opts);
       rt.run([&](mpi::Comm& c) {
         if (c.rank() == 1) {
           c.send(0, 9, byte_of('m'));
@@ -183,8 +192,10 @@ TEST(Explore, TimeoutIsAChoicePointAndBothOutcomesReachable) {
           got = c.recv_for(1, 9, std::chrono::milliseconds(200)).has_value();
         }
       });
+      residue = rt.check_report().best_effort_residue;
     });
     ASSERT_TRUE(out.ok()) << out.error;
+    EXPECT_EQ(residue, got ? 0u : 1u);
     outcomes.insert(got);
   } while (dfs.advance());
   EXPECT_EQ(outcomes, (std::set<bool>{false, true}))

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <unistd.h>
 #include <unordered_set>
@@ -135,17 +136,64 @@ INSTANTIATE_TEST_SUITE_P(Transports, EngineMutateSided, ::testing::Bool(),
                            return pinfo.param ? "OneSided" : "TwoSided";
                          });
 
-TEST(EngineMutate, WritesRejectNonSegmentedEngines) {
+TEST(EngineMutate, WritesRejectReadOnlyEngines) {
   auto w = data::make_sift_like(200, 5, 813);
-  auto cfg = mutate_config(4);
-  cfg.local_index = LocalIndexKind::kHnsw;
+  data::Dataset one(1, w.base.dim());
+  const std::vector<GlobalId> ids{3};
+  for (const auto kind :
+       {LocalIndexKind::kBruteForce, LocalIndexKind::kVpTree}) {
+    auto cfg = mutate_config(4);
+    cfg.local_index = kind;
+    DistributedAnnEngine eng(&w.base, cfg);
+    eng.build();
+    EXPECT_THROW((void)eng.insert(one), Error) << local_index_kind_name(kind);
+    EXPECT_THROW((void)eng.remove(ids), Error) << local_index_kind_name(kind);
+    EXPECT_THROW((void)eng.compact(), Error) << local_index_kind_name(kind);
+  }
+}
+
+TEST(EngineMutate, DefaultEngineAcceptsWrites) {
+  auto w = data::make_sift_like(200, 5, 813);
+  EngineConfig cfg;  // default local index: HNSW, which is the segmented one
+  cfg.n_workers = 4;
+  cfg.threads_per_worker = 1;
   DistributedAnnEngine eng(&w.base, cfg);
   eng.build();
-  data::Dataset one(1, w.base.dim());
-  EXPECT_THROW((void)eng.insert(one), Error);
-  const std::vector<GlobalId> ids{3};
-  EXPECT_THROW((void)eng.remove(ids), Error);
-  EXPECT_THROW((void)eng.compact(), Error);
+  const WriteStats ins = eng.insert(w.queries);
+  EXPECT_EQ(ins.assigned_ids.size(), w.queries.size());
+  EXPECT_EQ(ins.inserted_replicas, w.queries.size());
+  const std::vector<GlobalId> ids{3, ins.assigned_ids[0]};
+  EXPECT_EQ(eng.remove(ids).erased_replicas, ids.size());
+  EXPECT_GT(eng.compact(), 0u);
+  EXPECT_FALSE(eng.contains(3));
+  EXPECT_TRUE(eng.contains(ins.assigned_ids[1]));
+}
+
+TEST(EngineMutate, LoadRejectsTheRetiredHnswKindByte) {
+  MutateScratchDir dir;
+  fs::create_directories(dir.path());
+  const std::string path = dir.path() + "/engine.idx";
+  auto w = data::make_sift_like(200, 5, 813);
+  DistributedAnnEngine eng(&w.base, mutate_config(4));
+  eng.build();
+  eng.save(path);
+
+  // The kind byte follows the magic (4 B), n_workers, replication, n_probe
+  // (8 B each), three flag bytes and threads_per_worker (8 B).
+  constexpr std::streamoff kKindOffset = 4 + 8 + 8 + 8 + 3 + 8;
+  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+  f.seekg(kKindOffset);
+  ASSERT_EQ(f.get(), int(LocalIndexKind::kHnsw));
+  f.seekp(kKindOffset);
+  f.put(0);  // byte 0 was a bare frozen HnswIndex image
+  f.close();
+  try {
+    (void)DistributedAnnEngine::load(path);
+    ADD_FAILURE() << "load() accepted local index kind byte 0";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("retired"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(EngineMutate, TombstoneNeverResurrectsAcrossFailover) {

@@ -10,7 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "annsim/common/serialize.hpp"
@@ -59,6 +61,40 @@ TEST(SegmentedIndex, InitialBuildMatchesBruteForce) {
   EXPECT_EQ(idx.size(), 500u);
   EXPECT_EQ(idx.stats().n_segments, 1u);
   EXPECT_GE(recall_at(idx, w.base, w.queries, 10), 0.9);
+}
+
+// Differential oracle: before any write, the segmented index is one frozen
+// HNSW segment plus an empty delta, so it must answer exactly as a frozen
+// HnswIndex built on the same rows with the same params and seed — same ids
+// in the same order, same distance bits.
+TEST(SegmentedIndex, WithoutWritesEqualsFrozenHnsw) {
+  auto w = data::make_sift_like(600, 40, 76);
+  for (const auto metric : {simd::Metric::kL2, simd::Metric::kInnerProduct}) {
+    SegmentedParams params = small_params();
+    params.hnsw.metric = metric;
+    params.hnsw.seed = 4242;
+    const SegmentedIndex seg(w.base.slice(0, w.base.size()), params);
+    hnsw::HnswIndex plain(&w.base, params.hnsw);
+    plain.build();
+    for (const std::size_t k : {std::size_t{1}, std::size_t{10}}) {
+      for (const std::size_t ef : {std::size_t{0}, std::size_t{16}}) {
+        for (std::size_t q = 0; q < w.queries.size(); ++q) {
+          const auto got = seg.search(w.queries.row(q), k, ef);
+          const auto want = plain.search(w.queries.row(q), k, ef);
+          ASSERT_EQ(got.size(), want.size()) << "q=" << q;
+          for (std::size_t i = 0; i < got.size(); ++i) {
+            EXPECT_EQ(got[i].id, want[i].id)
+                << simd::metric_name(metric) << " k=" << k << " ef=" << ef
+                << " q=" << q << " i=" << i;
+            EXPECT_EQ(std::bit_cast<std::uint32_t>(got[i].dist),
+                      std::bit_cast<std::uint32_t>(want[i].dist))
+                << simd::metric_name(metric) << " k=" << k << " ef=" << ef
+                << " q=" << q << " i=" << i;
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(SegmentedIndex, InsertIsVisibleImmediately) {
