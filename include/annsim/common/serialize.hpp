@@ -71,7 +71,8 @@ class BinaryReader {
     requires std::is_trivially_copyable_v<T>
   std::vector<T> read_vector() {
     const auto n = read<std::uint64_t>();
-    ANNSIM_CHECK_MSG(pos_ + n * sizeof(T) <= bytes_.size(), "BinaryReader underflow");
+    // Divide rather than multiply: a corrupt length must not wrap the check.
+    ANNSIM_CHECK_MSG(n <= remaining() / sizeof(T), "BinaryReader underflow");
     std::vector<T> out(n);
     if (n != 0) {  // avoid zero-length memcpy from a null/end pointer
       std::memcpy(out.data(), bytes_.data() + pos_, n * sizeof(T));

@@ -7,22 +7,21 @@
 /// (skip-list style promotion), greedy descent through the upper layers,
 /// beam search (`ef`) in the bottom layer, and the "heuristic" neighbor
 /// selection (Algorithm 4 of the HNSW paper) that keeps the graph navigable.
-/// Insertions are thread-safe (per-node link locks + entry-point lock), as
-/// the paper relies on multi-threaded local construction.
+/// Insertions are thread-safe (per-node link mutexes + entry-point mutex),
+/// as the paper relies on multi-threaded local construction.
 ///
-/// The index has two graph representations:
-///  * a mutable linked form (`vector<vector<LocalId>>` per node) used during
-///    construction, searchable concurrently with inserts;
-///  * a read-optimized frozen form (`FlatGraph`, a contiguous CSR slab) that
-///    `build()` / `from_bytes()` switch to automatically. The frozen search
-///    path iterates adjacency spans with zero copies and zero locks, batches
-///    neighbor distance computations, software-prefetches upcoming vectors,
-///    and ranks candidates in squared-L2 space, deferring the `sqrt` to
-///    result emission. Results are identical to the mutable form's.
+/// One adjacency store and one beam search serve the whole lifecycle. The
+/// constructor draws every node's level from the seed and lays out a
+/// fixed-capacity FlatGraph; insert() writes its blocks in place, and
+/// searches issued while inserts may run copy each list under its node's
+/// mutex. freeze() (called by build()) only publishes the frozen flag: from
+/// then on searches read the same blocks in place with no copy and no lock.
+/// Every search, construction's included, runs hnsw::beam_layer on pooled
+/// scratch with the batched distance kernels, and ranks candidates in
+/// squared-L2 space, deferring the `sqrt` to result emission.
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -81,7 +80,7 @@ class HnswIndex {
   HnswIndex& operator=(const HnswIndex&) = delete;
 
   /// Insert every dataset row (multi-threaded when a pool is supplied), then
-  /// freeze() into the read-optimized flat graph.
+  /// freeze().
   void build(ThreadPool* pool = nullptr);
 
   /// Insert one dataset row (thread-safe; rows may arrive in any order but
@@ -89,15 +88,16 @@ class HnswIndex {
   /// frozen.
   void insert(LocalId node);
 
-  /// Compact the linked adjacency into the immutable FlatGraph and release
-  /// the mutable form. Requires quiescence: no concurrent insert() or
-  /// search() calls may be in flight. Idempotent; called by build().
+  /// Mark the graph immutable: later searches read adjacency in place
+  /// without locks, and insert() throws. Copies nothing. Requires
+  /// quiescence: no concurrent insert() or search() calls may be in flight.
+  /// Idempotent; called by build().
   void freeze();
 
-  /// True once the read-optimized frozen representation is active.
+  /// True once freeze() has run (or the index was decoded from bytes).
   [[nodiscard]] bool is_frozen() const noexcept;
 
-  /// The frozen CSR adjacency (requires is_frozen()). The quantized tier
+  /// The frozen adjacency (requires is_frozen()). The quantized tier
   /// reuses this exact topology to traverse SQ8 code rows: the graph is
   /// built once on the full-float rows at freeze time, then searched with
   /// the asymmetric uint8 kernels.
@@ -126,16 +126,15 @@ class HnswIndex {
   static HnswIndex load(const std::string& path, const data::Dataset* data);
 
   /// In-memory (de)serialization — used to ship replica indexes between
-  /// ranks during partition replication (§IV-C2). `from_bytes` deserializes
-  /// straight into the frozen flat form (the linked graph is never
-  /// materialized), so replicas come up read-optimized.
+  /// ranks during partition replication (§IV-C2). `from_bytes` decodes into
+  /// a frozen index and throws annsim::Error on a malformed image.
   [[nodiscard]] std::vector<std::byte> to_bytes() const;
   static HnswIndex from_bytes(std::span<const std::byte> bytes,
                               const data::Dataset* data);
 
-  struct Impl;  // opaque; public only so internal free functions can name it
-
  private:
+  struct Impl;
+
   HnswIndex(const data::Dataset* data, HnswParams params, std::unique_ptr<Impl> impl);
 
   const data::Dataset* data_;

@@ -10,9 +10,10 @@
 ///  1. trains an SqCodec (per-dimension min/max affine) and encodes every
 ///     row into a 64-byte-aligned code slab — the only per-row storage the
 ///     segment keeps resident (1 byte/dim instead of 4);
-///  2. builds the standard HNSW graph *on the floats* and keeps its frozen
-///     FlatGraph — traversal topology is identical to the float tier, only
-///     the distance evaluations run over codes via the fused uint8 kernels;
+///  2. builds the standard HNSW graph *on the floats* and keeps its
+///     FlatGraph. Search runs the float tier's own beam (hnsw::beam_layer)
+///     over that graph; only the batched distance function differs, the
+///     fused uint8 kernels over code rows;
 ///  3. copies the hottest `float_cache_fraction` of rows, as full floats,
 ///     into the *re-rank cache*. "Hottest" is measured access frequency when
 ///     the freeze happens during a major compaction (per-row hit counters
@@ -35,7 +36,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <vector>
 
@@ -43,6 +43,7 @@
 #include "annsim/common/thread_pool.hpp"
 #include "annsim/common/types.hpp"
 #include "annsim/data/dataset.hpp"
+#include "annsim/hnsw/beam.hpp"
 #include "annsim/hnsw/hnsw_index.hpp"
 #include "annsim/quant/sq_codec.hpp"
 
@@ -76,7 +77,6 @@ class SqSegment {
 
   SqSegment(const SqSegment&) = delete;
   SqSegment& operator=(const SqSegment&) = delete;
-  ~SqSegment();  // out-of-line: Scratch is incomplete here
 
   /// Graph k-NN over codes (beam width ef, 0 = params.hnsw.ef_search) with
   /// exact re-rank of the candidate list. Distances follow the library-wide
@@ -131,32 +131,18 @@ class SqSegment {
  private:
   SqSegment() = default;
 
-  struct Scratch;
-  /// Pooled per-search working memory (visited stamps, beam heaps, batched
-  /// kernel buffers) so concurrent searches stay allocation-free at steady
-  /// state, mirroring the float tier's hot path.
-  class ScratchPool {
-   public:
-    std::unique_ptr<Scratch> acquire(std::size_t n, std::size_t max_degree);
-    void release(std::unique_ptr<Scratch> s);
-
-   private:
-    std::mutex mu_;
-    std::vector<std::unique_ptr<Scratch>> free_;
-  };
-
   void select_cache(const data::Dataset& rows,
                     std::span<const std::uint64_t> heat);
-  /// Search-space distance of the decoded code row (squared L2 / 1 - ip).
-  [[nodiscard]] float code_dist(const float* query,
-                                std::size_t row) const noexcept;
-  void code_dist_batch(const float* query, const std::uint32_t* rows,
-                       std::size_t m, float* out) const noexcept;
+  /// Search-space distances (squared L2 / 1 - ip) of code rows
+  /// `first + rows[i]` (or `first + i` when rows is null) into out[0, m).
+  void code_dist_batch(const float* query, std::size_t first,
+                       const std::uint32_t* rows, std::size_t m,
+                       float* out) const noexcept;
   /// Re-rank candidates (search-space distances) and emit the top k in
   /// ranking space; bumps access counters.
   [[nodiscard]] std::vector<Neighbor> rerank_emit(
-      const float* query, std::span<const std::uint32_t> cand_rows,
-      std::span<const float> cand_dists, std::size_t k) const;
+      const float* query, std::span<const hnsw::Cand> cands,
+      std::size_t k) const;
 
   SqSegmentParams params_;
   SqCodec codec_;
@@ -175,7 +161,8 @@ class SqSegment {
   mutable std::vector<std::atomic<std::uint32_t>> access_;
   mutable std::atomic<std::uint64_t> rerank_exact_{0};
   mutable std::atomic<std::uint64_t> rerank_coded_{0};
-  mutable ScratchPool scratch_;
+  /// Pooled beam scratch, shared by search() and scan().
+  mutable hnsw::BeamPool pool_;
 };
 
 }  // namespace annsim::quant

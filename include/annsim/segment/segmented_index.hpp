@@ -3,16 +3,16 @@
 /// \brief Live-mutable per-partition index: frozen segments + mutable delta
 /// + tombstones (the ROADMAP's "Live mutability at serving scale").
 ///
-/// The engine's FlatGraph HNSW is read-optimized but write-hostile: freezing
-/// compacts the linked graph into a CSR slab and rejects further inserts. A
+/// The engine's HNSW is read-optimized but write-hostile once frozen: a frozen
+/// index reads its adjacency without locks and rejects further inserts. A
 /// SegmentedIndex keeps serving from that frozen form while still absorbing a
 /// write stream, LSM-style:
 ///
 ///  * one or more frozen *segments* — immutable (Dataset, HnswIndex) pairs —
-///    serve the bulk of every search through the zero-lock flat-graph path;
-///  * a small mutable *delta* HNSW absorbs inserts. Its Dataset is allocated
+///    serve the bulk of every search through the zero-lock frozen path;
+///  * a small unfrozen *delta* HNSW absorbs inserts. Its Dataset is allocated
 ///    at full capacity up front so row storage never moves, which is what
-///    makes the mutable-graph concurrent insert+search path safe to reuse;
+///    makes the unfrozen concurrent insert+search path safe to reuse;
 ///  * deletes are *tombstones*: a global-id set consulted at result emission,
 ///    in the same spirit as the masked-slot merge protocol (a deleted id must
 ///    never resurrect, even when replicas disagree mid-failover).

@@ -4,144 +4,67 @@
 #include <atomic>
 #include <cmath>
 #include <fstream>
-#include <queue>
 #include <sstream>
 
 #include "annsim/common/error.hpp"
 #include "annsim/common/serialize.hpp"
 #include "annsim/common/topk.hpp"
-#include "annsim/hnsw/flat_graph.hpp"
+#include "annsim/hnsw/beam.hpp"
 
 namespace annsim::hnsw {
 
 namespace {
 
-/// Candidate ordered by distance to the query; min-heap via std::greater.
-/// Distances are in *search space* (squared L2 for Metric::kL2) — strictly
-/// order-preserving w.r.t. the ranking distance; conversion happens once at
-/// result emission.
-struct Cand {
-  float dist;
-  LocalId node;
-  friend bool operator<(const Cand& a, const Cand& b) noexcept {
-    return a.dist < b.dist || (a.dist == b.dist && a.node < b.node);
-  }
-  friend bool operator>(const Cand& a, const Cand& b) noexcept { return b < a; }
-};
+/// Constructor preconditions, shared with from_bytes so a decoded header is
+/// held to the same rules. Resolves level_mult = 0 to the canonical 1/ln(M).
+HnswParams checked(HnswParams p) {
+  ANNSIM_CHECK_MSG(p.M >= 2 && p.M <= FlatGraph::kMaxM, "HNSW: M = " << p.M);
+  ANNSIM_CHECK_MSG(p.ef_construction >= p.M,
+                   "HNSW: ef_construction " << p.ef_construction << " < M");
+  if (p.level_mult <= 0.0) p.level_mult = 1.0 / std::log(double(p.M));
+  // rng.uniform() >= 2^-53, so a level never exceeds 36.8 * level_mult.
+  ANNSIM_CHECK_MSG(p.level_mult * 36.8 < FlatGraph::kMaxLayers - 1,
+                   "HNSW: level_mult " << p.level_mult << " too large");
+  return p;
+}
 
-/// Epoch-stamped visited set, reusable across searches without clearing.
-class VisitedSet {
- public:
-  void resize(std::size_t n) {
-    if (stamp_.size() < n) stamp_.resize(n, 0);
-  }
-
-  void new_epoch() noexcept {
-    if (++epoch_ == 0) {  // wrapped: reset all stamps
-      std::fill(stamp_.begin(), stamp_.end(), 0);
-      epoch_ = 1;
-    }
-  }
-
-  bool test_and_set(LocalId v) noexcept {
-    if (stamp_[v] == epoch_) return true;
-    stamp_[v] = epoch_;
-    return false;
-  }
-
-  void prefetch(LocalId v) const noexcept { simd::prefetch_line(&stamp_[v]); }
-
- private:
-  std::vector<std::uint32_t> stamp_;
-  std::uint32_t epoch_ = 0;
-};
-
-/// Per-search working memory: the visited set plus every buffer the beam
-/// search touches, so a warmed-up search performs no allocations per
-/// expansion (and, once pooled buffers reach steady-state capacity, none per
-/// search beyond the returned result vector).
-struct SearchScratch {
-  VisitedSet visited;
-  std::vector<LocalId> ids;     ///< unvisited-neighbor gather (flat path)
-  std::vector<float> dists;     ///< batched distances (flat path)
-  std::vector<Cand> frontier;   ///< min-heap storage (flat path)
-  std::vector<Cand> best;       ///< max-heap storage (flat path)
-  std::vector<LocalId> neigh_copy;  ///< locked-link snapshot (mutable path)
-};
-
-/// Pool of SearchScratch so concurrent searches don't allocate per query.
-class ScratchPool {
- public:
-  explicit ScratchPool(std::size_t n) : n_(n) {}
-
-  std::unique_ptr<SearchScratch> acquire(std::size_t max_degree) {
-    std::unique_ptr<SearchScratch> s;
-    {
-      std::lock_guard lk(mu_);
-      if (!free_.empty()) {
-        s = std::move(free_.back());
-        free_.pop_back();
-      }
-    }
-    if (!s) s = std::make_unique<SearchScratch>();
-    s->visited.resize(n_);
-    if (s->ids.size() < max_degree) {
-      s->ids.resize(max_degree);
-      s->dists.resize(max_degree);
-    }
-    return s;
-  }
-
-  void release(std::unique_ptr<SearchScratch> s) {
-    std::lock_guard lk(mu_);
-    free_.push_back(std::move(s));
-  }
-
- private:
-  std::size_t n_;
-  std::mutex mu_;
-  std::vector<std::unique_ptr<SearchScratch>> free_;
-};
+/// Level assignment: floor(-ln(U) * mL), derived deterministically from the
+/// seed and the node id so parallel builds are reproducible.
+int draw_level(const HnswParams& p, LocalId node) {
+  Rng rng = Rng(p.seed).split(node);
+  double u = 0.0;
+  while (u == 0.0) u = rng.uniform();
+  return int(-std::log(u) * p.level_mult);
+}
 
 }  // namespace
 
 struct HnswIndex::Impl {
-  /// links[node][layer] = neighbor list; layer 0 capacity 2M, others M.
-  /// Populated only while the index is mutable; freeze() releases it.
-  struct Node {
-    std::vector<std::vector<LocalId>> layers;  // size = level + 1
-    bool inserted = false;
-  };
+  Impl(FlatGraph g, bool writable)
+      : graph(std::move(g)),
+        locks(writable ? std::make_unique<std::mutex[]>(graph.size())
+                       : nullptr) {}
 
-  Impl(std::size_t n, bool mutable_graph)
-      : nodes(mutable_graph ? n : 0),
-        locks(mutable_graph ? std::make_unique<std::mutex[]>(n) : nullptr),
-        scratch(n) {}
-
-  std::vector<Node> nodes;
+  FlatGraph graph;
+  /// Per-node link locks, held while an insert rewrites a block and while an
+  /// unfrozen search copies one. Decoded (frozen) images have none.
   std::unique_ptr<std::mutex[]> locks;
-  mutable ScratchPool scratch;
-
+  /// Guards the graph's entry point and max level while inserts run.
   std::mutex entry_mu;
-  LocalId entry_point = kInvalidLocalId;
-  int max_level = -1;
   std::atomic<std::size_t> n_inserted{0};
-
-  /// Read-optimized representation; valid once `frozen` is true.
-  FlatGraph flat;
   std::atomic<bool> frozen{false};
+  BeamPool pool;
 };
 
 HnswIndex::HnswIndex(const data::Dataset* data, HnswParams params)
-    : data_(data),
-      params_(params),
-      impl_(std::make_unique<Impl>(data->size(), /*mutable_graph=*/true)) {
+    : data_(data), params_(params) {
   ANNSIM_CHECK(data_ != nullptr);
-  ANNSIM_CHECK(params_.M >= 2);
-  ANNSIM_CHECK(params_.ef_construction >= params_.M);
-  if (params_.level_mult <= 0.0) {
-    params_.level_mult = 1.0 / std::log(double(params_.M));
+  params_ = checked(params_);
+  std::vector<int> levels(data_->size());
+  for (std::size_t v = 0; v < levels.size(); ++v) {
+    levels[v] = draw_level(params_, LocalId(v));
   }
+  impl_ = std::make_unique<Impl>(FlatGraph(params_.M, levels), true);
 }
 
 HnswIndex::HnswIndex(const data::Dataset* data, HnswParams params,
@@ -163,162 +86,10 @@ bool HnswIndex::is_frozen() const noexcept {
 const FlatGraph& HnswIndex::flat_graph() const {
   ANNSIM_CHECK_MSG(is_frozen(),
                    "HnswIndex::flat_graph: index is not frozen yet");
-  return impl_->flat;
+  return impl_->graph;
 }
 
 namespace {
-
-/// How the mutable-path beam search reads neighbor lists.
-enum class LinkAccess {
-  kLocked,    ///< concurrent inserts possible: snapshot links under the lock
-  kUnlocked,  ///< graph complete: iterate the lists in place, zero-copy
-};
-
-/// Beam search within one layer of the *mutable* linked graph (Algorithm 2
-/// of the HNSW paper). Returns up to `ef` nearest candidates as a
-/// max-heap-ordered vector (unsorted), with search-space distances.
-std::vector<Cand> search_layer(const data::Dataset& data,
-                               const simd::DistanceComputer& dist,
-                               const HnswIndex::Impl* impl, const float* query,
-                               std::span<const LocalId> entries, int layer,
-                               std::size_t ef, SearchScratch& scratch,
-                               LinkAccess access) {
-  VisitedSet& visited = scratch.visited;
-  visited.new_epoch();
-  std::priority_queue<Cand, std::vector<Cand>, std::greater<>> frontier;  // min
-  std::priority_queue<Cand> best;                                         // max
-
-  for (LocalId e : entries) {
-    if (visited.test_and_set(e)) continue;
-    const float d = dist.search_dist(query, data.row(e));
-    frontier.push({d, e});
-    best.push({d, e});
-    if (best.size() > ef) best.pop();
-  }
-
-  while (!frontier.empty()) {
-    const Cand c = frontier.top();
-    if (best.size() >= ef && c.dist > best.top().dist) break;
-    frontier.pop();
-
-    std::span<const LocalId> neigh;
-    if (access == LinkAccess::kLocked) {
-      // Copy the links into a reused buffer under the node's lock (the list
-      // may be mutated by concurrent inserts). The buffer's capacity is
-      // retained across expansions, so steady-state cost is a memcpy.
-      std::lock_guard lk(impl->locks[c.node]);
-      const auto& node = impl->nodes[c.node];
-      if (std::size_t(layer) >= node.layers.size()) continue;
-      scratch.neigh_copy.assign(node.layers[layer].begin(),
-                                node.layers[layer].end());
-      neigh = scratch.neigh_copy;
-    } else {
-      // Graph is complete: read the list in place, no copy, no lock.
-      const auto& node = impl->nodes[c.node];
-      if (std::size_t(layer) >= node.layers.size()) continue;
-      neigh = node.layers[layer];
-    }
-    for (LocalId nb : neigh) {
-      if (visited.test_and_set(nb)) continue;
-      const float d = dist.search_dist(query, data.row(nb));
-      if (best.size() < ef || d < best.top().dist) {
-        frontier.push({d, nb});
-        best.push({d, nb});
-        if (best.size() > ef) best.pop();
-      }
-    }
-  }
-
-  std::vector<Cand> out;
-  out.reserve(best.size());
-  while (!best.empty()) {
-    out.push_back(best.top());
-    best.pop();
-  }
-  return out;  // descending by distance
-}
-
-// ---- frozen-path heap helpers (vectors + std heap algorithms, so the
-// underlying storage lives in the pooled scratch and is reused) ----
-
-inline void min_push(std::vector<Cand>& h, Cand c) {
-  h.push_back(c);
-  std::push_heap(h.begin(), h.end(), std::greater<>{});
-}
-
-inline Cand min_pop(std::vector<Cand>& h) {
-  std::pop_heap(h.begin(), h.end(), std::greater<>{});
-  const Cand c = h.back();
-  h.pop_back();
-  return c;
-}
-
-inline void max_push(std::vector<Cand>& h, Cand c) {
-  h.push_back(c);
-  std::push_heap(h.begin(), h.end());
-}
-
-inline void max_pop(std::vector<Cand>& h) {
-  std::pop_heap(h.begin(), h.end());
-  h.pop_back();
-}
-
-/// Beam search within one layer of the *frozen* flat graph. Identical
-/// candidate selection to the linked search_layer, but: adjacency is an
-/// in-place span out of the CSR slab (no copy, no lock), neighbor distances
-/// are computed by the batched SIMD kernel, and visited stamps / vector rows
-/// / the next candidate's adjacency block are software-prefetched.
-/// Leaves up to `ef` nearest candidates in scratch.best (max-heap order).
-void search_layer_flat(const data::Dataset& data,
-                       const simd::DistanceComputer& dist, const FlatGraph& g,
-                       const float* query, std::span<const LocalId> entries,
-                       int layer, std::size_t ef, SearchScratch& scratch) {
-  VisitedSet& visited = scratch.visited;
-  visited.new_epoch();
-  auto& frontier = scratch.frontier;
-  auto& best = scratch.best;
-  frontier.clear();
-  best.clear();
-
-  const float* base = data.row(0);
-  const std::size_t stride = data.stride();
-
-  for (LocalId e : entries) {
-    if (visited.test_and_set(e)) continue;
-    const float d = dist.search_dist(query, data.row(e));
-    min_push(frontier, {d, e});
-    max_push(best, {d, e});
-    if (best.size() > ef) max_pop(best);
-  }
-
-  while (!frontier.empty()) {
-    if (best.size() >= ef && frontier.front().dist > best.front().dist) break;
-    const Cand c = min_pop(frontier);
-
-    const std::span<const LocalId> neigh = g.neighbors(c.node, layer);
-    // Pass 1: prefetch the visited stamps for the whole adjacency list.
-    for (LocalId nb : neigh) visited.prefetch(nb);
-    // Pass 2: gather unvisited neighbors for the batched kernel.
-    std::size_t m = 0;
-    for (LocalId nb : neigh) {
-      if (!visited.test_and_set(nb)) scratch.ids[m++] = nb;
-    }
-    if (m == 0) continue;
-    // One batched call computes all m distances, prefetching rows ahead.
-    dist.search_dist_batch(query, base, stride, scratch.ids.data(), m,
-                           scratch.dists.data());
-    for (std::size_t i = 0; i < m; ++i) {
-      const float d = scratch.dists[i];
-      if (best.size() < ef || d < best.front().dist) {
-        min_push(frontier, {d, scratch.ids[i]});
-        max_push(best, {d, scratch.ids[i]});
-        if (best.size() > ef) max_pop(best);
-      }
-    }
-    // Warm the next expansion's adjacency block while the heaps settle.
-    if (!frontier.empty()) g.prefetch0(frontier.front().node);
-  }
-}
 
 /// Heuristic neighbor selection (Algorithm 4 of the HNSW paper): scan
 /// candidates nearest-first, keep one only if it is closer to the query than
@@ -363,24 +134,15 @@ void HnswIndex::insert(LocalId node) {
     std::ostringstream os;
     os << "HnswIndex::insert(" << node << "): index is frozen (read-only "
        << "FlatGraph form, " << im.n_inserted.load(std::memory_order_acquire)
-       << " nodes); inserts are only legal in the mutable linked form";
+       << " nodes); inserts are only legal before freeze()";
     throw FrozenIndexError(os.str());
   }
-  ANNSIM_CHECK_MSG(!im.nodes[node].inserted, "node inserted twice: " << node);
-
-  const simd::DistanceComputer dist(params_.metric, data_->dim());
-  const float* qv = data_->row(node);
-
-  // Level assignment: floor(-ln(U) * mL), derived deterministically from the
-  // seed and the node id so parallel builds are reproducible.
-  Rng rng = Rng(params_.seed).split(node);
-  double u = 0.0;
-  while (u == 0.0) u = rng.uniform();
-  const int level = int(-std::log(u) * params_.level_mult);
-
+  FlatGraph& g = im.graph;
+  const int level = draw_level(params_, node);
   {
     std::lock_guard lk(im.locks[node]);
-    im.nodes[node].layers.assign(std::size_t(level) + 1, {});
+    ANNSIM_CHECK_MSG(g.level(node) < 0, "node inserted twice: " << node);
+    g.set_level(node, level);
   }
 
   // Snapshot the entry point / top level.
@@ -388,80 +150,60 @@ void HnswIndex::insert(LocalId node) {
   int top_level;
   {
     std::lock_guard lk(im.entry_mu);
-    entry = im.entry_point;
-    top_level = im.max_level;
+    entry = g.entry_point();
+    top_level = g.max_level();
     if (entry == kInvalidLocalId) {
       // First node becomes the entry point.
-      im.entry_point = node;
-      im.max_level = level;
-      im.nodes[node].inserted = true;
+      g.set_entry(node, level);
       im.n_inserted.fetch_add(1, std::memory_order_release);
       return;
     }
   }
 
-  auto scratch = im.scratch.acquire(0);
+  const simd::DistanceComputer dist(params_.metric, data_->dim());
+  const float* qv = data_->row(node);
+  const auto batch = [&](const LocalId* ids, std::size_t m, float* out) {
+    dist.search_dist_batch(qv, data_->row(0), data_->stride(), ids, m, out);
+  };
+  auto s = im.pool.acquire(data_->size());
 
-  // Greedy descent through layers above the node's level.
-  std::vector<LocalId> eps{entry};
-  for (int layer = top_level; layer > level; --layer) {
-    auto res = search_layer(*data_, dist, impl_.get(), qv, eps, layer, 1,
-                            *scratch, LinkAccess::kLocked);
-    if (!res.empty()) eps = {res.back().node};  // nearest is last (descending)
-  }
-
-  // Connect at each layer from min(level, top_level) down to 0.
+  // Greedy descent through layers above the node's level, then connect at
+  // each layer from min(level, top_level) down to 0.
+  std::vector<LocalId> eps{
+      descend(g, im.locks.get(), entry, top_level, level, *s, batch)};
   for (int layer = std::min(level, top_level); layer >= 0; --layer) {
-    auto candidates = search_layer(*data_, dist, impl_.get(), qv, eps, layer,
-                                   params_.ef_construction, *scratch,
-                                   LinkAccess::kLocked);
-    const std::size_t m_layer = layer == 0 ? params_.M * 2 : params_.M;
-    auto neighbors =
-        select_neighbors(*data_, dist, candidates, params_.M);
-
+    beam_layer(g, im.locks.get(), eps, layer, params_.ef_construction, *s,
+               batch);
+    const std::size_t m_layer = g.capacity(layer);
+    const auto neighbors = select_neighbors(*data_, dist, s->best, params_.M);
     {
       std::lock_guard lk(im.locks[node]);
-      im.nodes[node].layers[layer] = neighbors;
+      g.set_neighbors(node, layer, neighbors);
     }
 
     // Back-links, shrinking the neighbor's list when it overflows.
     for (LocalId nb : neighbors) {
       std::lock_guard lk(im.locks[nb]);
-      auto& links = im.nodes[nb].layers[layer];
-      if (links.size() < m_layer) {
-        links.push_back(node);
-      } else {
-        std::vector<Cand> cands;
-        cands.reserve(links.size() + 1);
-        const float* nbv = data_->row(nb);
-        cands.push_back({dist.search_dist(nbv, qv), node});
-        for (LocalId x : links) {
-          cands.push_back({dist.search_dist(nbv, data_->row(x)), x});
-        }
-        links = select_neighbors(*data_, dist, std::move(cands), m_layer);
+      if (g.add_link(nb, layer, node)) continue;
+      const float* nbv = data_->row(nb);
+      std::vector<Cand> cands{{dist.search_dist(nbv, qv), node}};
+      for (LocalId x : g.neighbors(nb, layer)) {
+        cands.push_back({dist.search_dist(nbv, data_->row(x)), x});
       }
+      g.set_neighbors(nb, layer,
+                      select_neighbors(*data_, dist, std::move(cands), m_layer));
     }
 
     // Next layer starts from this layer's candidates.
     eps.clear();
-    for (const Cand& c : candidates) eps.push_back(c.node);
+    for (const Cand& c : s->best) eps.push_back(c.node);
   }
 
   {
     std::lock_guard lk(im.entry_mu);
-    if (level > im.max_level) {
-      im.max_level = level;
-      im.entry_point = node;
-    }
+    if (level > g.max_level()) g.set_entry(node, level);
   }
-  {
-    std::lock_guard lk(im.locks[node]);
-    im.nodes[node].inserted = true;
-  }
-  // Release so a searcher that observes the final count (acquire) sees every
-  // link this insert wrote and may then read the graph without locks.
   im.n_inserted.fetch_add(1, std::memory_order_release);
-  im.scratch.release(std::move(scratch));
 }
 
 void HnswIndex::build(ThreadPool* pool) {
@@ -481,97 +223,47 @@ void HnswIndex::build(ThreadPool* pool) {
 }
 
 void HnswIndex::freeze() {
-  Impl& im = *impl_;
-  if (im.frozen.load(std::memory_order_acquire)) return;
-
-  std::size_t slab_hint = 0;
-  for (const auto& node : im.nodes) {
-    for (const auto& layer : node.layers) slab_hint += 1 + layer.size();
-  }
-  FlatGraph g;
-  g.init(im.nodes.size(), slab_hint);
-  for (const auto& node : im.nodes) {
-    g.add_node(std::span<const std::vector<LocalId>>(node.layers));
-  }
-  g.set_entry(im.entry_point, im.max_level);
-  im.flat = std::move(g);
-
-  // Drop the mutable linked form; the flat graph is now the only
-  // representation (inserts are rejected from here on).
-  im.nodes.clear();
-  im.nodes.shrink_to_fit();
-  im.frozen.store(true, std::memory_order_release);
+  impl_->frozen.store(true, std::memory_order_release);
 }
 
 std::vector<Neighbor> HnswIndex::search(const float* query, std::size_t k,
                                         std::size_t ef) const {
   ANNSIM_CHECK(k > 0);
-  const Impl& im = *impl_;
+  Impl& im = *impl_;
   if (ef == 0) ef = params_.ef_search;
   ef = std::max(ef, k);
-  const simd::DistanceComputer dist(params_.metric, data_->dim());
+  const FlatGraph& g = im.graph;
 
-  // ---- frozen hot path: flat graph, batched kernels, deferred sqrt ----
-  if (im.frozen.load(std::memory_order_acquire)) {
-    const FlatGraph& g = im.flat;
-    LocalId ep = g.entry_point();
-    if (ep == kInvalidLocalId) return {};
-    auto scratch = im.scratch.acquire(g.max_degree());
-
-    std::span<const LocalId> eps{&ep, 1};
-    for (int layer = g.max_level(); layer > 0; --layer) {
-      search_layer_flat(*data_, dist, g, query, eps, layer, 1, *scratch);
-      if (!scratch->best.empty()) ep = scratch->best.front().node;
-    }
-    search_layer_flat(*data_, dist, g, query, eps, 0, ef, *scratch);
-
-    auto& best = scratch->best;
-    std::sort_heap(best.begin(), best.end());  // ascending (dist, node)
-    std::vector<Neighbor> out;
-    out.reserve(std::min(k, best.size()));
-    for (std::size_t i = 0; i < best.size() && out.size() < k; ++i) {
-      out.push_back({dist.to_ranking(best[i].dist), data_->id(best[i].node)});
-    }
-    im.scratch.release(std::move(scratch));
-    return out;
-  }
-
-  // ---- mutable fallback path (index still under construction) ----
-  LocalId entry;
+  // Frozen: lists are read in place. Unfrozen: inserts may be running, so
+  // the entry point is snapshot under its lock and lists copied under theirs.
+  std::mutex* locks = nullptr;
+  LocalId ep;
   int top_level;
-  {
-    // Snapshot under the lock: concurrent inserts mutate both fields.
-    std::lock_guard lk(const_cast<Impl&>(im).entry_mu);
-    entry = im.entry_point;
-    top_level = im.max_level;
+  if (is_frozen()) {
+    ep = g.entry_point();
+    top_level = g.max_level();
+  } else {
+    std::lock_guard lk(im.entry_mu);
+    ep = g.entry_point();
+    top_level = g.max_level();
+    locks = im.locks.get();
   }
-  if (entry == kInvalidLocalId) return {};
+  if (ep == kInvalidLocalId) return {};
 
-  // Once every row is inserted no link can change again (rows insert exactly
-  // once); the acquire load pairs with the inserters' release increments, so
-  // the lists may be read in place without locks or copies.
-  const bool complete =
-      im.n_inserted.load(std::memory_order_acquire) == data_->size();
-  const LinkAccess access =
-      complete ? LinkAccess::kUnlocked : LinkAccess::kLocked;
+  const simd::DistanceComputer dist(params_.metric, data_->dim());
+  const auto batch = [&](const LocalId* ids, std::size_t m, float* out) {
+    dist.search_dist_batch(query, data_->row(0), data_->stride(), ids, m, out);
+  };
+  auto s = im.pool.acquire(data_->size());
+  ep = descend(g, locks, ep, top_level, 0, *s, batch);
+  beam_layer(g, locks, {&ep, 1}, 0, ef, *s, batch);
 
-  auto scratch = im.scratch.acquire(0);
-  std::vector<LocalId> eps{entry};
-  for (int layer = top_level; layer > 0; --layer) {
-    auto res = search_layer(*data_, dist, impl_.get(), query, eps, layer, 1,
-                            *scratch, access);
-    if (!res.empty()) eps = {res.back().node};
-  }
-  auto candidates = search_layer(*data_, dist, impl_.get(), query, eps, 0, ef,
-                                 *scratch, access);
-  im.scratch.release(std::move(scratch));
-
-  // candidates are descending by distance; take the k nearest.
+  auto& best = s->best;
+  std::sort_heap(best.begin(), best.end());  // ascending (dist, node)
   std::vector<Neighbor> out;
-  out.reserve(std::min(k, candidates.size()));
-  for (auto it = candidates.rbegin();
-       it != candidates.rend() && out.size() < k; ++it) {
-    out.push_back({dist.to_ranking(it->dist), data_->id(it->node)});
+  out.reserve(std::min(k, best.size()));
+  for (std::size_t i = 0; i < best.size() && out.size() < k; ++i) {
+    out.push_back({dist.to_ranking(best[i].dist), data_->id(best[i].node)});
   }
   return out;
 }
@@ -591,39 +283,26 @@ data::KnnResults HnswIndex::search_batch(const data::Dataset& queries,
 }
 
 HnswStats HnswIndex::stats() const {
-  const Impl& im = *impl_;
+  const FlatGraph& g = impl_->graph;
   HnswStats s;
   s.n_nodes = size();
-  s.max_level = im.max_level;
-  s.nodes_per_level.assign(std::size_t(im.max_level + 1), 0);
+  s.max_level = g.max_level();
+  s.nodes_per_level.assign(std::size_t(g.max_level() + 1), 0);
   std::size_t deg0 = 0, n0 = 0;
-  if (im.frozen.load(std::memory_order_acquire)) {
-    const FlatGraph& g = im.flat;
-    for (LocalId v = 0; v < LocalId(g.size()); ++v) {
-      const int level = g.level(v);
-      if (level < 0) continue;
-      for (int l = 0; l <= level; ++l) {
-        if (std::size_t(l) < s.nodes_per_level.size()) ++s.nodes_per_level[l];
-      }
-      deg0 += g.neighbors0(v).size();
-      ++n0;
+  for (LocalId v = 0; v < LocalId(g.size()); ++v) {
+    const int level = g.level(v);
+    if (level < 0) continue;
+    for (int l = 0; l <= level; ++l) {
+      if (std::size_t(l) < s.nodes_per_level.size()) ++s.nodes_per_level[l];
     }
-  } else {
-    for (const auto& node : im.nodes) {
-      if (node.layers.empty()) continue;
-      for (std::size_t l = 0; l < node.layers.size(); ++l) {
-        if (l < s.nodes_per_level.size()) ++s.nodes_per_level[l];
-      }
-      deg0 += node.layers[0].size();
-      ++n0;
-    }
+    deg0 += g.neighbors0(v).size();
+    ++n0;
   }
   s.avg_degree_level0 = n0 ? double(deg0) / double(n0) : 0.0;
   return s;
 }
 
 std::vector<std::byte> HnswIndex::to_bytes() const {
-  const Impl& im = *impl_;
   BinaryWriter w;
   w.reserve(128);
   w.write(std::uint32_t{0x414E4E31});  // "ANN1"
@@ -634,18 +313,7 @@ std::vector<std::byte> HnswIndex::to_bytes() const {
   w.write(params_.seed);
   w.write(std::int32_t(params_.metric));
   w.write(std::uint64_t(data_->size()));
-  w.write(std::int32_t(im.max_level));
-  w.write(std::uint32_t(im.entry_point));
-  if (im.frozen.load(std::memory_order_acquire)) {
-    im.flat.write_nodes(w);  // same wire format, emitted from the slab
-  } else {
-    for (const auto& node : im.nodes) {
-      w.write(std::uint32_t(node.layers.size()));
-      for (const auto& layer : node.layers) {
-        w.write_span(std::span<const LocalId>(layer));
-      }
-    }
-  }
+  impl_->graph.write(w);
   return w.take();
 }
 
@@ -682,21 +350,20 @@ HnswIndex HnswIndex::from_bytes(std::span<const std::byte> bytes,
   p.ef_search = r.read<std::uint64_t>();
   p.level_mult = r.read<double>();
   p.seed = r.read<std::uint64_t>();
-  p.metric = simd::Metric(r.read<std::int32_t>());
+  const auto metric = r.read<std::int32_t>();
+  ANNSIM_CHECK_MSG(metric >= 0 && metric <= std::int32_t(simd::Metric::kCosine),
+                   "HNSW file: unknown metric " << metric);
+  p.metric = simd::Metric(metric);
+  p = checked(p);
   const auto n = r.read<std::uint64_t>();
   ANNSIM_CHECK_MSG(n == data->size(), "HNSW file does not match dataset size");
 
-  // Deserialize straight into the frozen flat form: the linked graph (and
-  // its per-node locks) are never materialized for replicas.
-  auto impl = std::make_unique<Impl>(n, /*mutable_graph=*/false);
-  impl->max_level = r.read<std::int32_t>();
-  impl->entry_point = r.read<std::uint32_t>();
-  FlatGraph g;
-  g.init(n, r.remaining() / sizeof(LocalId));
-  for (std::uint64_t i = 0; i < n; ++i) g.add_node(r);
-  g.set_entry(impl->entry_point, impl->max_level);
-  impl->n_inserted.store(g.n_inserted());
-  impl->flat = std::move(g);
+  // Decode straight into the frozen form: no per-node locks for replicas.
+  auto impl = std::make_unique<Impl>(FlatGraph::read(r, n, p.M), false);
+  ANNSIM_CHECK_MSG(r.exhausted(), "HNSW file: trailing bytes after graph");
+  std::size_t inserted = 0;
+  for (LocalId v = 0; v < n; ++v) inserted += impl->graph.level(v) >= 0;
+  impl->n_inserted.store(inserted);
   impl->frozen.store(true, std::memory_order_release);
   return HnswIndex(data, p, std::move(impl));
 }

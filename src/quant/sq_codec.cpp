@@ -65,7 +65,8 @@ void SqCodec::serialize(BinaryWriter& w) const {
 SqCodec SqCodec::deserialize(BinaryReader& r) {
   SqCodec c;
   c.dim_ = std::size_t(r.read<std::uint64_t>());
-  ANNSIM_CHECK_MSG(c.dim_ > 0, "SqCodec: zero dimension in image");
+  ANNSIM_CHECK_MSG(c.dim_ > 0 && c.dim_ <= r.remaining() / sizeof(float),
+                   "SqCodec: dimension " << c.dim_ << " does not fit the image");
   const std::size_t padded = c.code_stride();
   c.mins_.reset(padded);
   c.scales_.reset(padded);

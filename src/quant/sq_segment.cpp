@@ -22,89 +22,7 @@ std::size_t float_stride(std::size_t dim) noexcept {
   return (dim + kFloatPad - 1) / kFloatPad * kFloatPad;
 }
 
-/// Beam-search candidate, ordered by (dist, node) like the float hot path.
-struct Cand {
-  float dist;
-  std::uint32_t node;
-  friend bool operator<(const Cand& a, const Cand& b) noexcept {
-    return a.dist < b.dist || (a.dist == b.dist && a.node < b.node);
-  }
-  friend bool operator>(const Cand& a, const Cand& b) noexcept { return b < a; }
-};
-
-inline void min_push(std::vector<Cand>& h, Cand c) {
-  h.push_back(c);
-  std::push_heap(h.begin(), h.end(), std::greater<>{});
-}
-
-inline Cand min_pop(std::vector<Cand>& h) {
-  std::pop_heap(h.begin(), h.end(), std::greater<>{});
-  const Cand c = h.back();
-  h.pop_back();
-  return c;
-}
-
-inline void max_push(std::vector<Cand>& h, Cand c) {
-  h.push_back(c);
-  std::push_heap(h.begin(), h.end());
-}
-
-inline void max_pop(std::vector<Cand>& h) {
-  std::pop_heap(h.begin(), h.end());
-  h.pop_back();
-}
-
 }  // namespace
-
-/// Per-search working memory; pooled so steady-state searches allocate
-/// nothing (matching the float tier's zero-alloc frozen path).
-struct SqSegment::Scratch {
-  std::vector<std::uint32_t> stamp;  ///< epoch-stamped visited set
-  std::uint32_t epoch = 0;
-  std::vector<std::uint32_t> ids;  ///< unvisited-neighbor gather
-  std::vector<float> dists;        ///< batched kernel output
-  std::vector<Cand> frontier;      ///< min-heap storage
-  std::vector<Cand> best;          ///< max-heap storage
-
-  void begin(std::size_t n, std::size_t lanes) {
-    if (stamp.size() < n) stamp.resize(n, 0);
-    if (ids.size() < lanes) {
-      ids.resize(lanes);
-      dists.resize(lanes);
-    }
-    if (++epoch == 0) {  // wrapped: reset all stamps
-      std::fill(stamp.begin(), stamp.end(), 0);
-      epoch = 1;
-    }
-  }
-  bool test_and_set(std::uint32_t v) noexcept {
-    if (stamp[v] == epoch) return true;
-    stamp[v] = epoch;
-    return false;
-  }
-};
-
-SqSegment::~SqSegment() = default;
-
-std::unique_ptr<SqSegment::Scratch> SqSegment::ScratchPool::acquire(
-    std::size_t n, std::size_t lanes) {
-  std::unique_ptr<Scratch> s;
-  {
-    std::lock_guard lk(mu_);
-    if (!free_.empty()) {
-      s = std::move(free_.back());
-      free_.pop_back();
-    }
-  }
-  if (!s) s = std::make_unique<Scratch>();
-  s->begin(n, lanes);
-  return s;
-}
-
-void SqSegment::ScratchPool::release(std::unique_ptr<Scratch> s) {
-  std::lock_guard lk(mu_);
-  free_.push_back(std::move(s));
-}
 
 std::unique_ptr<SqSegment> SqSegment::build(const data::Dataset& rows,
                                             const SqSegmentParams& params,
@@ -136,8 +54,8 @@ std::unique_ptr<SqSegment> SqSegment::build(const data::Dataset& rows,
     seg->codec_.encode(rows.row_span(i), seg->codes_.data() + i * cstride);
   }
 
-  // 2. Graph on the floats (identical topology to the float tier), then keep
-  // only the frozen CSR form.
+  // 2. Graph on the floats (identical topology to the float tier); keep its
+  // adjacency store.
   hnsw::HnswIndex index(&rows, params.hnsw);
   index.build(pool);
   seg->graph_ = index.flat_graph();
@@ -190,46 +108,36 @@ void SqSegment::select_cache(const data::Dataset& rows,
   }
 }
 
-float SqSegment::code_dist(const float* query, std::size_t row) const noexcept {
-  const std::uint8_t* code = codes_.data() + row * codec_.code_stride();
-  if (params_.hnsw.metric == simd::Metric::kL2) {
-    return simd::l2_sq_u8(query, code, codec_.mins(), codec_.scales(), dim());
-  }
-  return 1.0f - simd::ip_u8(query, code, codec_.mins(), codec_.scales(), dim());
-}
-
-void SqSegment::code_dist_batch(const float* query, const std::uint32_t* rows,
-                                std::size_t m, float* out) const noexcept {
+void SqSegment::code_dist_batch(const float* query, std::size_t first,
+                                const std::uint32_t* rows, std::size_t m,
+                                float* out) const noexcept {
   const std::size_t cstride = codec_.code_stride();
+  const std::uint8_t* base = codes_.data() + first * cstride;
   if (params_.hnsw.metric == simd::Metric::kL2) {
-    simd::l2_sq_batch_u8(query, codes_.data(), cstride, dim(), codec_.mins(),
+    simd::l2_sq_batch_u8(query, base, cstride, dim(), codec_.mins(),
                          codec_.scales(), rows, m, out);
     return;
   }
-  simd::ip_batch_u8(query, codes_.data(), cstride, dim(), codec_.mins(),
+  simd::ip_batch_u8(query, base, cstride, dim(), codec_.mins(),
                     codec_.scales(), rows, m, out);
   for (std::size_t i = 0; i < m; ++i) out[i] = 1.0f - out[i];
 }
 
 std::vector<Neighbor> SqSegment::rerank_emit(
-    const float* query, std::span<const std::uint32_t> cand_rows,
-    std::span<const float> cand_dists, std::size_t k) const {
+    const float* query, std::span<const hnsw::Cand> cands,
+    std::size_t k) const {
   const bool l2 = params_.hnsw.metric == simd::Metric::kL2;
   std::uint64_t exact = 0;
-  std::vector<Cand> ranked;
-  ranked.reserve(cand_rows.size());
-  for (std::size_t i = 0; i < cand_rows.size(); ++i) {
-    const std::uint32_t row = cand_rows[i];
-    access_[row].fetch_add(1, std::memory_order_relaxed);
-    float d = cand_dists[i];
-    const std::uint32_t slot = cache_slot_[row];
+  std::vector<hnsw::Cand> ranked(cands.begin(), cands.end());
+  for (hnsw::Cand& c : ranked) {
+    access_[c.node].fetch_add(1, std::memory_order_relaxed);
+    const std::uint32_t slot = cache_slot_[c.node];
     if (slot != kNotCached) {
       const float* fr = cache_rows_.data() + slot * cache_stride_;
-      d = l2 ? simd::l2_sq(query, fr, dim())
-             : 1.0f - simd::inner_product(query, fr, dim());
+      c.dist = l2 ? simd::l2_sq(query, fr, dim())
+                  : 1.0f - simd::inner_product(query, fr, dim());
       ++exact;
     }
-    ranked.push_back({d, row});
   }
   rerank_exact_.fetch_add(exact, std::memory_order_relaxed);
   rerank_coded_.fetch_add(ranked.size() - exact, std::memory_order_relaxed);
@@ -237,7 +145,7 @@ std::vector<Neighbor> SqSegment::rerank_emit(
   const std::size_t take = std::min(k, ranked.size());
   // Tie-break on global id so emission order is deterministic across the
   // row-permutation a compaction may apply.
-  auto cmp = [&](const Cand& a, const Cand& b) {
+  auto cmp = [&](const hnsw::Cand& a, const hnsw::Cand& b) {
     return a.dist < b.dist ||
            (a.dist == b.dist && ids_[a.node] < ids_[b.node]);
   };
@@ -255,79 +163,22 @@ std::vector<Neighbor> SqSegment::rerank_emit(
 std::vector<Neighbor> SqSegment::search(const float* query, std::size_t k,
                                         std::size_t ef) const {
   ANNSIM_CHECK(k > 0);
-  if (n_ == 0) return {};
   if (ef == 0) ef = params_.hnsw.ef_search;
   ef = std::max(ef, k);
   LocalId ep = graph_.entry_point();
   if (ep == kInvalidLocalId) return {};
 
-  auto s = scratch_.acquire(n_, graph_.max_degree());
-  const std::uint8_t* base = codes_.data();
-  const std::size_t cstride = codec_.code_stride();
-
-  // Beam search over one layer, code distances throughout. Mirrors the float
-  // tier's search_layer_flat: span adjacency, batched kernel, prefetch.
-  auto run_layer = [&](LocalId entry, int layer, std::size_t beam) {
-    ++s->epoch;
-    if (s->epoch == 0) {
-      std::fill(s->stamp.begin(), s->stamp.end(), 0);
-      s->epoch = 1;
-    }
-    s->frontier.clear();
-    s->best.clear();
-    s->test_and_set(entry);
-    const float d0 = code_dist(query, entry);
-    min_push(s->frontier, {d0, entry});
-    max_push(s->best, {d0, entry});
-
-    while (!s->frontier.empty()) {
-      if (s->best.size() >= beam &&
-          s->frontier.front().dist > s->best.front().dist) {
-        break;
-      }
-      const Cand c = min_pop(s->frontier);
-      const std::span<const LocalId> neigh = graph_.neighbors(c.node, layer);
-      for (LocalId nb : neigh) simd::prefetch_line(&s->stamp[nb]);
-      std::size_t m = 0;
-      for (LocalId nb : neigh) {
-        if (!s->test_and_set(nb)) s->ids[m++] = nb;
-      }
-      if (m == 0) continue;
-      code_dist_batch(query, s->ids.data(), m, s->dists.data());
-      for (std::size_t i = 0; i < m; ++i) {
-        const float d = s->dists[i];
-        if (s->best.size() < beam || d < s->best.front().dist) {
-          min_push(s->frontier, {d, s->ids[i]});
-          max_push(s->best, {d, s->ids[i]});
-          if (s->best.size() > beam) max_pop(s->best);
-        }
-      }
-      if (!s->frontier.empty()) {
-        graph_.prefetch0(s->frontier.front().node);
-        simd::prefetch_code(base + s->frontier.front().node * cstride, dim());
-      }
-    }
+  // The float tier's beam over the same frozen graph, code distances
+  // throughout.
+  const auto batch = [&](const LocalId* ids, std::size_t m, float* out) {
+    code_dist_batch(query, 0, ids, m, out);
   };
-
-  for (int layer = graph_.max_level(); layer > 0; --layer) {
-    run_layer(ep, layer, 1);
-    if (!s->best.empty()) ep = s->best.front().node;
-  }
-  run_layer(ep, 0, ef);
-
+  auto s = pool_.acquire(n_);
+  ep = hnsw::descend(graph_, nullptr, ep, graph_.max_level(), 0, *s, batch);
+  hnsw::beam_layer(graph_, nullptr, {&ep, 1}, 0, ef, *s, batch);
   // Hand the whole beam to the re-ranker (ef candidates; overfetch relative
   // to k is what lets exact re-scoring reorder past the SQ8 error).
-  std::vector<std::uint32_t> cand_rows;
-  std::vector<float> cand_dists;
-  cand_rows.reserve(s->best.size());
-  cand_dists.reserve(s->best.size());
-  for (const Cand& c : s->best) {
-    cand_rows.push_back(c.node);
-    cand_dists.push_back(c.dist);
-  }
-  auto out = rerank_emit(query, cand_rows, cand_dists, k);
-  scratch_.release(std::move(s));
-  return out;
+  return rerank_emit(query, s->best, k);
 }
 
 std::vector<Neighbor> SqSegment::scan(const float* query, std::size_t k) const {
@@ -337,43 +188,24 @@ std::vector<Neighbor> SqSegment::scan(const float* query, std::size_t k) const {
   const std::size_t fetch = std::min(n_, std::max(k * 4, k + 16));
   constexpr std::size_t kBlock = 256;
 
-  auto s = scratch_.acquire(n_, std::max<std::size_t>(kBlock, graph_.max_degree()));
-  const std::size_t cstride = codec_.code_stride();
-  s->best.clear();
+  auto s = pool_.acquire(n_);
+  s->reserve_lanes(kBlock);
+  auto& best = s->best;
+  best.clear();
   for (std::size_t start = 0; start < n_; start += kBlock) {
     const std::size_t m = std::min(kBlock, n_ - start);
-    if (params_.hnsw.metric == simd::Metric::kL2) {
-      simd::l2_sq_batch_u8(query, codes_.data() + start * cstride, cstride,
-                           dim(), codec_.mins(), codec_.scales(), nullptr, m,
-                           s->dists.data());
-    } else {
-      simd::ip_batch_u8(query, codes_.data() + start * cstride, cstride, dim(),
-                        codec_.mins(), codec_.scales(), nullptr, m,
-                        s->dists.data());
-      for (std::size_t i = 0; i < m; ++i) s->dists[i] = 1.0f - s->dists[i];
-    }
+    code_dist_batch(query, start, nullptr, m, s->dists.data());
     for (std::size_t i = 0; i < m; ++i) {
-      const Cand c{s->dists[i], std::uint32_t(start + i)};
-      if (s->best.size() < fetch) {
-        max_push(s->best, c);
-      } else if (c < s->best.front()) {
-        max_pop(s->best);
-        max_push(s->best, c);
+      const hnsw::Cand c{s->dists[i], LocalId(start + i)};
+      if (best.size() < fetch) {
+        hnsw::max_push(best, c);
+      } else if (c < best.front()) {
+        hnsw::max_pop(best);
+        hnsw::max_push(best, c);
       }
     }
   }
-
-  std::vector<std::uint32_t> cand_rows;
-  std::vector<float> cand_dists;
-  cand_rows.reserve(s->best.size());
-  cand_dists.reserve(s->best.size());
-  for (const Cand& c : s->best) {
-    cand_rows.push_back(c.node);
-    cand_dists.push_back(c.dist);
-  }
-  auto out = rerank_emit(query, cand_rows, cand_dists, k);
-  scratch_.release(std::move(s));
-  return out;
+  return rerank_emit(query, best, k);
 }
 
 void SqSegment::reconstruct(std::size_t row, float* out) const {
@@ -425,9 +257,7 @@ std::vector<std::byte> SqSegment::to_bytes() const {
   }
   w.write_vector(packed);
 
-  w.write(std::int32_t(graph_.max_level()));
-  w.write(graph_.entry_point());
-  graph_.write_nodes(w);
+  graph_.write(w);
 
   // Cached rows in ascending row order so identical logical state yields
   // identical bytes regardless of build-time selection order.
@@ -470,11 +300,7 @@ std::unique_ptr<SqSegment> SqSegment::from_bytes(
     std::memcpy(seg->codes_.data() + i * cstride, packed.data() + i * dim, dim);
   }
 
-  const auto max_level = r.read<std::int32_t>();
-  const auto entry = r.read<LocalId>();
-  seg->graph_.init(seg->n_, 0);
-  for (std::size_t i = 0; i < seg->n_; ++i) seg->graph_.add_node(r);
-  seg->graph_.set_entry(entry, max_level);
+  seg->graph_ = hnsw::FlatGraph::read(r, seg->n_, params.hnsw.M);
 
   const auto cached = r.read_vector<std::uint32_t>();
   const auto cache_packed = r.read_vector<float>();

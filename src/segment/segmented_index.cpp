@@ -532,9 +532,9 @@ std::unique_ptr<SegmentedIndex> SegmentedIndex::from_parts(
   ANNSIM_CHECK_MSG(used <= params.delta_capacity && ids.size() == used &&
                        packed.size() == used * dim,
                    "SegmentedIndex: delta row/id count mismatch");
-  // The frozen serialized form of an HnswIndex cannot round-trip back into
-  // the mutable linked form, so the delta is restored by replaying its rows
-  // into a fresh mutable index (deterministic: levels derive from the seed).
+  // A decoded HnswIndex is frozen and cannot take inserts again, so the
+  // delta is restored by replaying its rows into a fresh writable index
+  // (deterministic: levels derive from the seed).
   v->delta = idx->make_delta();
   for (std::size_t i = 0; i < used; ++i) {
     v->delta->data->set_row(i, std::span<const float>(&packed[i * dim], dim));

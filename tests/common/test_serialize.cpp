@@ -59,6 +59,13 @@ TEST(Serialize, VectorUnderflowThrows) {
   w.write(std::uint64_t{1000});  // claims 1000 elements, provides none
   BinaryReader r(w.bytes());
   EXPECT_THROW(r.read_vector<double>(), Error);
+
+  // A length whose byte size wraps 2^64 (2^61 * 8) must not pass the check.
+  BinaryWriter wrap;
+  wrap.write(std::uint64_t{1} << 61);
+  wrap.write(std::uint64_t{0});
+  BinaryReader rw(wrap.bytes());
+  EXPECT_THROW(rw.read_vector<double>(), Error);
 }
 
 TEST(Serialize, RemainingTracksPosition) {

@@ -1,5 +1,5 @@
 /// \file test_hnsw_concurrent.cpp
-/// \brief Concurrent insert + search on the mutable linked graph. Separate
+/// \brief Concurrent insert + search on an unfrozen graph. Separate
 /// binary so the TSan CI job can exercise it by name; the entry-point
 /// snapshot race this guards against (entry_point/max_level read without
 /// entry_mu) was TSan-visible before the fix.

@@ -1,8 +1,8 @@
 /// \file test_hnsw_flat.cpp
-/// \brief Differential suite for the frozen FlatGraph representation: the
-/// read-optimized search path (CSR slab, batched kernels, deferred sqrt) must
-/// be bit-identical to the mutable linked-graph path, and serialization must
-/// round-trip through the flat form losslessly.
+/// \brief Differential suite for the frozen index: searching a frozen graph
+/// (adjacency read in place, no locks) must be bit-identical to searching
+/// the same graph unfrozen (each list copied under its node mutex), and
+/// serialization must round-trip through the frozen form losslessly.
 
 #include <gtest/gtest.h>
 
@@ -29,10 +29,10 @@ HnswParams test_params(simd::Metric metric) {
   return p;
 }
 
-/// Builds the same graph twice: once via build() (which freezes into the
-/// flat form) and once via a manual insert loop (which stays on the mutable
-/// linked form). Identical params + seed + single-threaded insertion order
-/// give identical graphs, so any search divergence is a bug in the flat path.
+/// Builds the same graph twice: once via build() (which freezes it) and once
+/// via a manual insert loop (which leaves it unfrozen). Identical params +
+/// seed + single-threaded insertion order give identical graphs, so any
+/// search divergence is a bug in one of the two neighbour accessors.
 struct GraphPair {
   HnswIndex frozen;
   HnswIndex linked;

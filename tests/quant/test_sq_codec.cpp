@@ -1,13 +1,15 @@
 /// SqCodec unit tests: the round-trip error contract (per-dimension error is
 /// bounded by scale/2 for in-range values), degenerate corpora, and wire
-/// round-trip.
+/// round-trip, including a corrupt dimension in the image.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
+#include "annsim/common/error.hpp"
 #include "annsim/common/rng.hpp"
 #include "annsim/common/serialize.hpp"
 #include "annsim/data/recipes.hpp"
@@ -125,6 +127,18 @@ TEST(SqCodec, SerializeRoundTripsExactly) {
   codec.encode(w.base.row_span(7), c1.data());
   back.encode(w.base.row_span(7), c2.data());
   EXPECT_EQ(c1, c2);
+}
+
+TEST(SqCodec, DeserializeRejectsADimensionTheImageCannotHold) {
+  auto w = data::make_sift_like(50, 1, 46);
+  BinaryWriter wtr;
+  SqCodec::train(w.base).serialize(wtr);
+  auto bytes = wtr.take();
+  // The leading u64 is the dimension; 2^40 floats would be a 4 TiB table.
+  const std::uint64_t huge = std::uint64_t{1} << 40;
+  std::memcpy(bytes.data(), &huge, sizeof(huge));
+  BinaryReader rdr(bytes);
+  EXPECT_THROW((void)SqCodec::deserialize(rdr), Error);
 }
 
 }  // namespace

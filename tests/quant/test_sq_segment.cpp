@@ -5,7 +5,9 @@
 ///  * the wire image round-trips byte-identically and search-identically;
 ///  * the resident footprint beats the float tier by > 3x at small cache
 ///    fractions;
-///  * measured heat drives cache selection; access counters accumulate.
+///  * measured heat drives cache selection; access counters accumulate;
+///  * a corrupted image either decodes into a segment that searches safely
+///    or throws annsim::Error.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +16,8 @@
 #include <numeric>
 #include <vector>
 
+#include "annsim/common/error.hpp"
+#include "annsim/common/rng.hpp"
 #include "annsim/data/ground_truth.hpp"
 #include "annsim/data/recipes.hpp"
 #include "annsim/quant/sq_segment.hpp"
@@ -174,6 +178,42 @@ TEST(SqSegment, InnerProductMetricWorks) {
     recall += double(hits) / 10.0;
   }
   EXPECT_GE(recall / double(w.queries.size()), 0.85);
+}
+
+TEST(SqSegment, SeededByteMutationsDecodeSafelyOrThrow) {
+  auto w = data::make_sift_like(300, 6, 90);
+  const auto seg = SqSegment::build(w.base, small_params(0.05));
+  const auto image = seg->to_bytes();
+  Rng rng(20260418);
+  std::size_t decoded = 0, rejected = 0;
+  for (int iter = 0; iter < 1500; ++iter) {
+    auto bytes = image;
+    if (iter % 8 == 7) {
+      bytes.resize(rng.uniform_below(bytes.size()));  // truncation
+    } else {
+      const auto n_flips = 1 + rng.uniform_below(3);
+      for (std::uint64_t f = 0; f < n_flips; ++f) {
+        bytes[rng.uniform_below(bytes.size())] =
+            std::byte(rng.uniform_below(256));
+      }
+    }
+    try {
+      const auto back = SqSegment::from_bytes(bytes, seg->params());
+      ++decoded;
+      // A caller restores a segment only into an index of its dimension.
+      if (back->dim() != w.base.dim()) continue;
+      for (std::size_t q = 0; q < w.queries.size(); ++q) {
+        ASSERT_LE(back->search(w.queries.row(q), 10).size(), 10u);
+        ASSERT_LE(back->scan(w.queries.row(q), 10).size(), 10u);
+      }
+    } catch (const Error&) {
+      ++rejected;
+    }
+  }
+  RecordProperty("decoded", int(decoded));
+  RecordProperty("rejected", int(rejected));
+  EXPECT_GT(decoded, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 }  // namespace
