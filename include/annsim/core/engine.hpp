@@ -403,8 +403,8 @@ class DistributedAnnEngine {
   /// `threads_per_worker == 1` and `result_timeout_ms == 0` — every engine
   /// thread must be a tracked rank, or helper threads would race around the
   /// controller instead of being scheduled by it. Both are needed: with a
-  /// finite deadline a worker spawns its team beside the rank thread's
-  /// liveness beacon.
+  /// finite deadline a worker runs its whole team on borrowed threads beside
+  /// the rank thread's liveness beacon.
   void set_schedule(std::shared_ptr<mpi::ScheduleController> schedule) noexcept {
     schedule_ = std::move(schedule);
   }

@@ -21,7 +21,9 @@
 /// tag/source matching with wildcards, non-overtaking matching, collective
 /// calls made in the same order by every member, and atomicity of
 /// get_accumulate at the target. Each rank runs as one OS thread; payloads
-/// are copied on send, never shared.
+/// are copied on send, never shared. The calling thread of Runtime::run is
+/// rank 0, and the other ranks borrow parked threads (common/thread_cohort.hpp)
+/// that outlive the run, the way an MPI process outlives one batch.
 ///
 /// The runtime also keeps per-rank traffic counters (messages/bytes by
 /// class) that the discrete-event performance model consumes.
@@ -278,8 +280,11 @@ class Comm {
   int my_index_ = -1;
 };
 
-/// Owns the rank threads. `run` executes `rank_main(comm)` once per rank and
-/// joins; the first exception thrown by any rank is rethrown to the caller.
+/// Owns the per-run state of the ranks: mailboxes, windows, traffic counters,
+/// the checker and the schedule controller. `run` executes `rank_main(comm)`
+/// once per rank, rank 0 on the calling thread and the others on borrowed
+/// parked threads, and returns when all ranks have; the first exception
+/// thrown by any rank is rethrown to the caller.
 class Runtime {
  public:
   explicit Runtime(int n_ranks);

@@ -25,8 +25,9 @@
 /// and are recorded in the trace; forced commits are folded into the digest
 /// but cost nothing to replay.
 ///
-/// Threads never spawned by Runtime::run (engine helper threads, failure
-/// beacons) are not tracked: their operations pass through uncontrolled.
+/// Threads that are not ranks of Runtime::run (the extra members of a
+/// worker's thread team) are not tracked: their operations pass through
+/// uncontrolled.
 /// Exploration scenarios therefore run each rank single-threaded.
 
 #include <atomic>
@@ -124,7 +125,7 @@ class ScheduleController {
 
   // --- runtime-facing hooks (called by the mpi layer, not by users) ---
 
-  /// Claim `n_threads` about-to-spawn rank threads. Returns false (and
+  /// Claim `n_threads` about-to-start rank threads. Returns false (and
   /// claims nothing) when not armed. Counting the whole cohort *before* any
   /// thread starts keeps the scheduler from firing on a partial view.
   bool begin_run(int n_threads);

@@ -8,7 +8,10 @@
 #include <chrono>
 #include <functional>
 #include <mutex>
-#include <thread>
+
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
 
 #include "annsim/common/backoff.hpp"
 #include "annsim/common/error.hpp"
@@ -305,6 +308,12 @@ void DistributedAnnEngine::build() {
   next_stream_id_ = base_->size() == 0 ? 0 : max_id + 1;
   open_wals();         // no-op unless wal_dir is configured
   save_checkpoints();  // no-op unless checkpoint_dir is configured
+#ifdef __GLIBC__
+  // The rank threads park after the build instead of exiting, and a parked
+  // thread keeps glibc's per-thread cache of small freed chunks, which pins
+  // the freed heap pages around them. Return the build's transient heap.
+  malloc_trim(0);
+#endif
 }
 
 // ------------------------------------------------------------------ plan ---

@@ -5,10 +5,10 @@
 #include <bit>
 #include <chrono>
 #include <mutex>
-#include <thread>
 
 #include "annsim/common/backoff.hpp"
 #include "annsim/common/error.hpp"
+#include "annsim/common/thread_cohort.hpp"
 #include "annsim/common/timer.hpp"
 #include "annsim/common/topk.hpp"
 #include "annsim/core/protocol.hpp"
@@ -236,12 +236,16 @@ void DistributedKdEngine::worker_search(mpi::Comm& world) {
     compute_s += my_compute;
   };
 
-  std::vector<std::thread> team;
-  team.reserve(config_.threads_per_worker);
-  for (std::size_t t = 0; t < config_.threads_per_worker; ++t) {
-    team.emplace_back(thread_main);
-  }
-  for (auto& t : team) t.join();
+  // The rank thread is member 0 of its team; the rest are borrowed.
+  ThreadCohort::run(config_.threads_per_worker, [&](std::size_t) {
+    try {
+      thread_main();
+    } catch (...) {
+      // A failed member ends the team; its error reaches the caller.
+      done.store(true, std::memory_order_release);
+      throw;
+    }
+  });
 
   DoneNotice notice;
   notice.jobs_processed = jobs.load();

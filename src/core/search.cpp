@@ -5,10 +5,10 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <thread>
 
 #include "annsim/common/backoff.hpp"
 #include "annsim/common/error.hpp"
+#include "annsim/common/thread_cohort.hpp"
 #include "annsim/common/timer.hpp"
 #include "annsim/common/topk.hpp"
 #include "annsim/core/dataset_transfer.hpp"
@@ -498,7 +498,7 @@ void DistributedAnnEngine::master_search(
 // Algorithm 4: the worker routine. A team of threads serves search jobs,
 // each polling with MPI_Test, all terminating through the shared Done flag
 // once End-of-Queries arrives. `owner_duties`, when set, runs on the rank
-// thread beside a spawned team, and jobs may then come from any owner.
+// thread beside a borrowed team, and jobs may then come from any owner.
 void DistributedAnnEngine::worker_search(
     mpi::Comm& world, const SlotLayout* slots,
     const std::function<void(DoneNotice&)>& owner_duties) {
@@ -579,24 +579,14 @@ void DistributedAnnEngine::worker_search(
     notice.comm_seconds += my_comm;
   };
 
+  // Liveness beacon (failure detection only): the rank thread beats on a
+  // reliable tag until the batch terminates. The fabric never drops a beat,
+  // so the only way the master stops hearing this worker is the worker
+  // actually dying — which is exactly what the injector does to a killed
+  // rank's sends, reliable or not.
   const bool beacon = config_.result_timeout_ms > 0.0;
-  if (config_.threads_per_worker == 1 && !owner_duties && !beacon) {
-    // A one-thread team runs inline on the rank thread itself. This is what
-    // keeps the worker schedulable under annsim::explore: a spawned team
-    // member would be an untracked helper racing around the controller,
-    // whereas the rank thread parks at every choice point.
-    thread_main();
-  } else {
-    std::vector<std::thread> team;
-    for (std::size_t t = 0; t < config_.threads_per_worker; ++t) {
-      team.emplace_back(thread_main);
-    }
+  auto rank_duties = [&] {
     if (owner_duties) owner_duties(notice);
-    // Liveness beacon (failure detection only): the rank thread beats on a
-    // reliable tag until the batch terminates. The fabric never drops a
-    // beat, so the only way the master stops hearing this worker is the
-    // worker actually dying — which is exactly what the injector does to a
-    // killed rank's sends, reliable or not.
     const auto interval = microseconds(std::max<std::int64_t>(
         std::int64_t((config_.heartbeat_interval_ms > 0.0
                           ? config_.heartbeat_interval_ms
@@ -610,8 +600,30 @@ void DistributedAnnEngine::worker_search(
         sleep_approx(std::min(interval, microseconds(1000)));
       }
     }
-    for (auto& t : team) t.join();
-  }
+  };
+
+  // Member 0 runs on the rank thread. With owner duties or a beacon it runs
+  // those beside a team of threads_per_worker further members; otherwise it
+  // is one of the team. A one-member team thus runs inline on the rank
+  // thread, which keeps the worker schedulable under annsim::explore: a
+  // borrowed member is an untracked helper racing around the controller,
+  // whereas the rank thread parks at every choice point.
+  const bool rank_side = owner_duties || beacon;
+  const std::size_t members = config_.threads_per_worker + (rank_side ? 1 : 0);
+  ThreadCohort::run(members, [&](std::size_t member) {
+    try {
+      if (rank_side && member == 0) {
+        rank_duties();
+      } else {
+        thread_main();
+      }
+    } catch (...) {
+      // A failed member ends the team and silences the beacon: the worker
+      // falls silent, and its error reaches the caller of search().
+      done.store(true, std::memory_order_release);
+      throw;
+    }
+  });
   if (slots != nullptr) win.unlock(0);
 
   notice.jobs_processed = jobs.load();

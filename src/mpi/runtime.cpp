@@ -9,9 +9,9 @@
 #include <mutex>
 #include <set>
 #include <sstream>
-#include <thread>
 
 #include "annsim/common/error.hpp"
+#include "annsim/common/thread_cohort.hpp"
 #include "annsim/mpi/schedule.hpp"
 
 namespace annsim::mpi {
@@ -1199,27 +1199,25 @@ void Runtime::run(const std::function<void(Comm&)>& rank_main) {
   std::mutex error_mu;
 
   // Claim the whole rank cohort with the schedule controller *before* any
-  // thread spawns: the scheduler must never fire on a partial view of the
+  // rank starts: the scheduler must never fire on a partial view of the
   // ranks (a lone early thread parking would look like full quiescence).
   const auto sched = state_->sched;
   const bool controlled = sched != nullptr && sched->begin_run(n);
 
-  std::vector<std::thread> threads;
-  threads.reserve(std::size_t(n));
-  for (int i = 0; i < n; ++i) {
-    threads.emplace_back([&, i] {
-      if (controlled) sched->attach_thread();
-      Comm comm(state_, /*comm_id=*/0, world, i);
-      try {
-        rank_main(comm);
-      } catch (...) {
-        std::lock_guard lk(error_mu);
-        if (!first_error) first_error = std::current_exception();
-      }
-      if (controlled) sched->finish_thread();
-    });
-  }
-  for (auto& t : threads) t.join();
+  // The calling thread is rank 0; the other ranks borrow parked threads.
+  // finish_thread() detaches each thread from the controller, so a thread
+  // parked after a controlled run serves the next, free-running one freely.
+  ThreadCohort::run(std::size_t(n), [&](std::size_t i) {
+    if (controlled) sched->attach_thread();
+    Comm comm(state_, /*comm_id=*/0, world, int(i));
+    try {
+      rank_main(comm);
+    } catch (...) {
+      std::lock_guard lk(error_mu);
+      if (!first_error) first_error = std::current_exception();
+    }
+    if (controlled) sched->finish_thread();
+  });
 
   if (auto& chk = state_->checker; chk != nullptr) {
     detail::finalize_checked_run(*state_, *chk);

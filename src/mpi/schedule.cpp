@@ -11,9 +11,10 @@ namespace annsim::mpi {
 namespace {
 
 /// Which controller (if any) tracks the current thread. A thread-local
-/// pointer rather than a flag so helper threads a rank spawns — which inherit
-/// nothing — are naturally untracked, and a stale registration can never leak
-/// across controllers.
+/// pointer rather than a flag so team members a rank runs on other threads
+/// are naturally untracked, and a stale registration can never leak across
+/// controllers. finish_thread() clears it, so a parked thread that served a
+/// controlled run is untracked when it serves the next one.
 thread_local ScheduleController* t_controller = nullptr;
 
 const char* kind_name(ChoiceKind k) {

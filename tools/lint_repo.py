@@ -59,6 +59,14 @@ raw-write-in-recovery
     itself (the one wrapper over the raw syscalls) is exempt. Reads
     (std::ifstream) are fine — torn data is detected by CRC, not
     prevented by the reader.
+
+raw-thread-in-ranks
+    the MPI runtime and the engines (src/mpi, src/core) must not create
+    std::thread directly. Ranks and worker thread teams are cohorts whose
+    members block on each other; they run through
+    common/thread_cohort.hpp, which borrows parked threads instead of
+    creating and joining OS threads per search, and carries a member's
+    exception to the caller instead of calling std::terminate.
 """
 
 from __future__ import annotations
@@ -111,6 +119,10 @@ SRC_SLEEP_ALLOW = ["include/annsim/common/backoff.hpp"]
 RECOVERY_DIRS = ["src/recovery", "include/annsim/recovery"]
 RECOVERY_WRITE_ALLOW = ["src/recovery/durable_file.cpp"]
 RAW_WRITE_RE = re.compile(r"\bstd::ofstream\b|\bofstream\b|\bfopen\s*\(")
+
+# --- rule: raw threads in the runtime and the engines ---------------------
+RANK_THREAD_DIRS = ["src/mpi", "src/core"]
+RAW_THREAD_RE = re.compile(r"\bstd::(?:thread|jthread)\b")
 
 
 def strip_comments_and_strings(text: str) -> str:
@@ -243,6 +255,19 @@ def check_recovery_raw_writes(findings: list[str]) -> None:
                 )
 
 
+def check_rank_raw_threads(findings: list[str]) -> None:
+    for d in RANK_THREAD_DIRS:
+        for path in sorted((REPO / d).rglob("*.[ch]pp")):
+            rel = path.relative_to(REPO)
+            text = strip_comments_and_strings(path.read_text())
+            for m in RAW_THREAD_RE.finditer(text):
+                findings.append(
+                    f"{rel}:{line_of(text, m.start())}: [raw-thread-in-ranks] "
+                    f"ranks and worker teams run through "
+                    f"common/thread_cohort.hpp, not a raw std::thread"
+                )
+
+
 def main() -> int:
     findings: list[str] = []
     check_naked_tags(findings)
@@ -252,6 +277,7 @@ def main() -> int:
     check_quant_raw_buffers(findings)
     check_src_sleeps(findings)
     check_recovery_raw_writes(findings)
+    check_rank_raw_threads(findings)
     for f in findings:
         print(f)
     if findings:
