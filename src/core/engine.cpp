@@ -41,6 +41,15 @@ LocalIndexParams local_index_params(const EngineConfig& config) {
   return lp;
 }
 
+using std::chrono::microseconds;
+
+/// The one deadline of a write-round or replica-stream wait: the failure-
+/// detection deadline, floored at 1 s.
+microseconds control_deadline(const EngineConfig& config) {
+  return microseconds(
+      std::llround(std::max(config.result_timeout_ms, 1000.0) * 1000.0));
+}
+
 }  // namespace
 
 // Validate outside the SPMD region: a rank that throws mid-collective would
@@ -94,9 +103,6 @@ void validate_engine_config(const EngineConfig& config) {
   ANNSIM_CHECK_MSG(config.result_timeout_ms >= 0.0,
                    "result_timeout_ms cannot be negative (0 disables failure "
                    "detection)");
-  ANNSIM_CHECK_MSG(config.heartbeat_interval_ms >= 0.0,
-                   "heartbeat_interval_ms cannot be negative (0 means "
-                   "result_timeout_ms / 4)");
   if (config.result_timeout_ms > 0.0) {
     ANNSIM_CHECK_MSG(config.strategy == DispatchStrategy::kMasterWorker,
                      "result_timeout_ms (failure detection) requires the "
@@ -209,18 +215,7 @@ void DistributedAnnEngine::build() {
   std::vector<std::byte> tree_bytes;
 
   WallTimer total_timer;
-  mpi::Runtime rt(int(P) + 1);
-  configure_runtime_check(rt);
-  auto run_checked = [&](const std::function<void(mpi::Comm&)>& body) {
-    try {
-      rt.run(body);
-    } catch (...) {
-      absorb_check_report(rt);
-      throw;
-    }
-    absorb_check_report(rt);
-  };
-  run_checked([&](mpi::Comm& world) {
+  run_phase(nullptr, [&](mpi::Comm& world) {
     const int wr = world.rank();
     mpi::Comm grp = world.split(wr == 0 ? 0 : 1);
 
@@ -355,7 +350,7 @@ data::KnnResults DistributedAnnEngine::search(
   // One injector is shared across every search runtime so fault state (op
   // budgets, death flags, the step clock) persists between batches: a rank
   // killed in batch n is still silent in batch n+1 unless heal() revived it.
-  mpi::Runtime rt(int(config_.n_workers) + 1, shared_injector());
+  const std::shared_ptr<mpi::FaultInjector> injector = shared_injector();
   if (config_.fault.enabled()) {
     // Log the seed so any chaos run is replayable bit-for-bit.
     ANNSIM_INFO("fault injection armed: seed=" << config_.fault.seed
@@ -373,16 +368,6 @@ data::KnnResults DistributedAnnEngine::search(
   for (std::size_t w = 0; w < P; ++w) alive[w] = health_.alive(w) ? 1 : 0;
   std::vector<std::uint64_t> heartbeats(P, 0);
 
-  configure_runtime_check(rt);
-  auto run_checked = [&](const std::function<void(mpi::Comm&)>& body) {
-    try {
-      rt.run(body);
-    } catch (...) {
-      absorb_check_report(rt);
-      throw;
-    }
-    absorb_check_report(rt);
-  };
   {
     // Reads of the worker stores (every rank thread touches workers_) run
     // under the shared topology lock so a concurrent write/compact round can
@@ -395,7 +380,7 @@ data::KnnResults DistributedAnnEngine::search(
     const SlotLayout layout{k, P};
     const SlotLayout* slots =
         config_.one_sided && !config_.exact_routing ? &layout : nullptr;
-    run_checked([&](mpi::Comm& world) {
+    st.traffic = run_phase(injector, [&](mpi::Comm& world) {
       if (config_.strategy == DispatchStrategy::kMultipleOwner) {
         if (world.rank() == 0) {
           master_search_owner(world, queries, k, ef, results, st, on_query_done);
@@ -405,7 +390,7 @@ data::KnnResults DistributedAnnEngine::search(
       } else {
         if (world.rank() == 0) {
           master_search(world, queries, k, ef, slots, results, st, on_query_done,
-                        rt.fault_injector(), alive, heartbeats, efforts);
+                        injector.get(), alive, heartbeats, efforts);
         } else {
           worker_search(world, slots);
         }
@@ -414,7 +399,7 @@ data::KnnResults DistributedAnnEngine::search(
   }
 
   // Fold the batch's outcome into the persistent health record — after
-  // rt.run() so every rank thread has been joined and touching worker
+  // the run so every rank thread has been joined and touching worker
   // stores cannot race. A newly dead worker's in-memory replicas die with
   // it; heal() restores them from checkpoint or from a surviving peer. A
   // batch that heard no beacon and saw no death (every batch without
@@ -437,7 +422,6 @@ data::KnnResults DistributedAnnEngine::search(
   }
 
   st.total_seconds = timer.seconds();
-  st.traffic = rt.total_traffic();
   if (stats != nullptr) *stats = st;
   return results;
 }
@@ -447,41 +431,54 @@ check::CheckReport DistributedAnnEngine::check_report() const {
   return check_report_;
 }
 
-void DistributedAnnEngine::configure_runtime_check(mpi::Runtime& rt) const {
-  // Every engine runtime flows through here right after construction, so the
-  // schedule controller rides along with the checker install.
+mpi::TrafficStats DistributedAnnEngine::run_phase(
+    std::shared_ptr<mpi::FaultInjector> injector,
+    const std::function<void(mpi::Comm&)>& body) {
+  mpi::Runtime rt(int(config_.n_workers) + 1, std::move(injector));
   if (schedule_ != nullptr) rt.set_schedule(schedule_);
-  if (!config_.mpi_check && !check::env_check_enabled()) return;
-  check::CheckOptions o;
-  o.enabled = true;
-  o.fatal = config_.check_fatal;
-  // The engine's control plane: termination, completion notices, liveness
-  // beacons. Data-plane code must never send these plainly (or swallow them
-  // through a wildcard) — the reserved-tag and wildcard rules enforce it.
-  o.reserved_tags = {kTagEoq,    kTagDone,   kTagHeartbeat,
-                     kTagInsert, kTagDelete, kTagWriteAck, kTagCompact};
-  if (config_.result_timeout_ms > 0.0 || config_.fault.enabled()) {
-    // With failure detection armed, these are by-design abandonable: a
-    // worker declared dead (perhaps too eagerly) keeps sending results,
-    // done notices, and beacons that nobody will ever drain. Residue is
-    // still counted in the report, just not a violation. The write plane's
-    // tags join the list because a rank killed mid-round leaves its batch
-    // (or its ack) undrained by design. The injector alone (no detection)
-    // is already enough to abandon: every write-plane recv becomes a
-    // recv_for, and an expired deadline — wall-clock or schedule-forced —
-    // walks away from the peer's in-flight batch or ack. Found by
-    // annsim::explore: gating this list on detection only made every
-    // schedule that fires a round timeout a false unmatched-send violation.
-    o.best_effort_tags = {kTagResult, kTagDone,     kTagHeartbeat, kTagInsert,
-                          kTagDelete, kTagWriteAck, kTagCompact};
+  if (config_.mpi_check || check::env_check_enabled()) {
+    check::CheckOptions o;
+    o.enabled = true;
+    o.fatal = config_.check_fatal;
+    // The engine's control plane: termination, completion notices, liveness
+    // beacons, write orders and their acks. Data-plane code must never send
+    // these plainly (or swallow them through a wildcard) — the reserved-tag
+    // and wildcard rules enforce it.
+    o.reserved_tags = {kTagEoq, kTagDone, kTagHeartbeat, kTagWrite,
+                       kTagWriteAck};
+    if (config_.result_timeout_ms > 0.0 || config_.fault.enabled()) {
+      // With failure detection armed, these are by-design abandonable: a
+      // worker declared dead (perhaps too eagerly) keeps sending results,
+      // done notices, and beacons that nobody will ever drain. Residue is
+      // still counted in the report, just not a violation. The write plane's
+      // tags join the list because a rank killed mid-round leaves its order
+      // (or its ack) undrained by design. The injector alone (no detection)
+      // is already enough to abandon: every write-round wait is bounded,
+      // and an expired deadline — wall-clock or schedule-forced — walks
+      // away from the peer's in-flight order or ack. Found by
+      // annsim::explore: gating this list on detection only made every
+      // schedule that fires a round timeout a false unmatched-send
+      // violation.
+      o.best_effort_tags = {kTagResult, kTagDone, kTagHeartbeat, kTagWrite,
+                            kTagWriteAck};
+    }
+    rt.configure_check(o);
   }
-  rt.configure_check(o);
-}
-
-void DistributedAnnEngine::absorb_check_report(const mpi::Runtime& rt) {
-  if (!rt.check_enabled()) return;
-  std::lock_guard lock(sync_->check);
-  check_report_.merge(rt.check_report());
+  // The phase's check report folds into the engine's on both paths: a
+  // fatal checker throws out of run() after finalizing.
+  const auto absorb = [&] {
+    if (!rt.check_enabled()) return;
+    std::lock_guard lock(sync_->check);
+    check_report_.merge(rt.check_report());
+  };
+  try {
+    rt.run(body);
+  } catch (...) {
+    absorb();
+    throw;
+  }
+  absorb();
+  return rt.total_traffic();
 }
 
 std::shared_ptr<mpi::FaultInjector> DistributedAnnEngine::shared_injector() {
@@ -493,16 +490,14 @@ std::shared_ptr<mpi::FaultInjector> DistributedAnnEngine::shared_injector() {
     // The control plane rides the reliable fabric: End-of-Queries (a worker
     // that never hears it spins forever), heartbeats (a dropped beat would
     // read as a death), and replica streams (healing must complete under
-    // drop_probability). The write plane's four tags are control plane too:
-    // a dropped insert would silently fork replicas of the same partition.
+    // drop_probability). The write plane's two tags are control plane too:
+    // a dropped order would silently fork replicas of the same partition.
     // Death still silences all of them — see fault.hpp.
     plan.reliable_tags.push_back(kTagEoq);
     plan.reliable_tags.push_back(kTagHeartbeat);
     plan.reliable_tags.push_back(kTagReplica);
-    plan.reliable_tags.push_back(kTagInsert);
-    plan.reliable_tags.push_back(kTagDelete);
+    plan.reliable_tags.push_back(kTagWrite);
     plan.reliable_tags.push_back(kTagWriteAck);
-    plan.reliable_tags.push_back(kTagCompact);
     injector_ = std::make_shared<mpi::FaultInjector>(
         plan, int(config_.n_workers) + 1);
   }
@@ -511,14 +506,13 @@ std::shared_ptr<mpi::FaultInjector> DistributedAnnEngine::shared_injector() {
 
 // ---------------------------------------------------------------- writes ---
 //
-// Streaming mutability (segmented local indexes only). A write round is a
-// small SPMD phase on the same simulated runtime as searches: the master
-// routes each row through the VP-tree to its nearest partition, ships one
-// WriteBatch + one DeleteBatch to every live worker on the reserved write
-// tags, and collects one WriteAck each. Rounds serialize behind
-// sync_->write_api and hold the topology lock shared, so search batches
-// (also shared) overlap freely while heal() (exclusive) can never observe a
-// half-applied round.
+// Streaming mutability (segmented local indexes only). insert(), remove()
+// and compact() each run one write round, a small SPMD phase on the same
+// simulated runtime as searches: the master ships one WriteOrder to every
+// live worker on the reserved kTagWrite and collects one WriteAck each.
+// Rounds serialize behind sync_->write_api and hold the topology lock
+// shared, so search batches (also shared) overlap freely while heal()
+// (exclusive) can never observe a half-applied round.
 
 std::vector<char> DistributedAnnEngine::write_plane_alive(
     const mpi::FaultInjector* injector) const {
@@ -562,14 +556,13 @@ WriteStats DistributedAnnEngine::apply_writes(
   const std::size_t r = config_.replication;
   WriteStats ws;
 
-  auto injector = shared_injector();
-  const std::vector<char> alive = write_plane_alive(injector.get());
+  const std::vector<char> alive = write_plane_alive(shared_injector().get());
 
   // Route every row to its nearest partition and fan it out to the live
   // members of that partition's workgroup {p, ..., p+r-1 mod P} — the same
   // round-robin assignment dispatch uses, so reads find the row wherever
   // they fail over.
-  std::vector<WriteBatch> batches(P);
+  std::vector<WriteOrder> orders(P);
   // Which workers each row was shipped to — after the round, a row counts as
   // acked (durable, with a WAL) iff at least one of them acked.
   std::vector<std::vector<std::size_t>> row_targets;
@@ -588,7 +581,7 @@ WriteStats DistributedAnnEngine::apply_writes(
       for (std::size_t j = 0; j < r; ++j) {
         const std::size_t w = (std::size_t(p) + j) % P;
         if (!alive[w]) continue;
-        batches[w].rows.push_back(
+        orders[w].rows.push_back(
             {p, id, lsn, std::vector<float>(v, v + rows->dim())});
         row_targets[i].push_back(w);
         delivered = true;
@@ -601,150 +594,29 @@ WriteStats DistributedAnnEngine::apply_writes(
       }
     }
   }
-  DeleteBatch dels;
-  dels.ids.assign(deletes.begin(), deletes.end());
-  dels.lsns.reserve(dels.ids.size());
-  for (std::size_t i = 0; i < dels.ids.size(); ++i) {
-    dels.lsns.push_back(next_lsn_++);
+  std::vector<std::uint64_t> del_lsns;
+  del_lsns.reserve(deletes.size());
+  for (std::size_t i = 0; i < deletes.size(); ++i) {
+    del_lsns.push_back(next_lsn_++);
   }
-  if (!dels.lsns.empty()) {
+  if (!del_lsns.empty()) {
     // Deletes broadcast to every workgroup — any partition may hold a hit,
     // so the whole ring advances to the round's last delete LSN.
     for (auto& last : partition_last_lsn_) {
-      last = std::max(last, dels.lsns.back());
+      last = std::max(last, del_lsns.back());
     }
   }
-  const std::vector<std::byte> del_bytes = encode_delete_batch(dels);
-
-  // A concurrent chaos search can advance the kill clock mid-round, and a
-  // dead rank is silent on every tag (reliable ones included) — so with an
-  // injector armed every blocking recv becomes recv_for.
-  const auto round_timeout = std::chrono::microseconds(std::llround(
-      std::max(config_.result_timeout_ms, 1000.0) * 1000.0));
-
-  std::vector<WriteAck> acks(P);
-  std::vector<char> acked(P, 0);
-  mpi::Runtime rt(int(P) + 1, injector);
-  configure_runtime_check(rt);
-  {
-    std::shared_lock topology(sync_->topology);
-    try {
-      rt.run([&](mpi::Comm& world) {
-        const int rank = world.rank();
-        if (rank == 0) {
-          // Both tags always go out (possibly empty) so the worker's recv
-          // pairing is fixed regardless of round content.
-          for (std::size_t w = 0; w < P; ++w) {
-            if (!alive[w]) continue;
-            (void)world.isend_reserved(int(w) + 1, kTagInsert,
-                                       encode_write_batch(batches[w]));
-            (void)world.isend_reserved(int(w) + 1, kTagDelete, del_bytes);
-          }
-          for (std::size_t w = 0; w < P; ++w) {
-            if (!alive[w]) continue;
-            std::optional<mpi::Message> m;
-            if (injector != nullptr) {
-              m = world.recv_for(int(w) + 1, kTagWriteAck, round_timeout);
-            } else {
-              m = world.recv(int(w) + 1, kTagWriteAck);
-            }
-            // A missing ack means the worker died mid-round; the search
-            // plane will observe the silence and fold the death.
-            if (!m.has_value()) continue;
-            acks[w] = decode_write_ack(m->payload);
-            acked[w] = 1;
-          }
-          return;
-        }
-        const std::size_t w = std::size_t(rank) - 1;
-        if (!alive[w]) return;
-        std::optional<mpi::Message> mi, md;
-        if (injector != nullptr) {
-          mi = world.recv_for(0, kTagInsert, round_timeout);
-          if (mi.has_value()) {
-            md = world.recv_for(0, kTagDelete, round_timeout);
-          }
-        } else {
-          mi = world.recv(0, kTagInsert);
-          md = world.recv(0, kTagDelete);
-        }
-        if (!mi.has_value() || !md.has_value()) return;  // killed mid-round
-        const WriteBatch batch = decode_write_batch(mi->payload);
-        const DeleteBatch dele = decode_delete_batch(md->payload);
-        WriteAck ack;
-        WorkerStore& store = workers_[w];
-        recovery::WriteLog* wal = w < wals_.size() ? wals_[w].get() : nullptr;
-        for (const auto& row : batch.rows) {
-          auto it = store.find(row.partition);
-          // A missing partition means an observed death cleared this store
-          // and heal() has not run yet; the row lands on the other replicas.
-          if (it == store.end()) continue;
-          it->second.index->insert(row.vec, row.id);
-          if (wal != nullptr) {
-            wal->append_insert(row.lsn, row.partition, row.id, row.vec);
-          }
-          ++ack.inserted;
-        }
-        for (std::size_t d = 0; d < dele.ids.size(); ++d) {
-          const GlobalId id = dele.ids[d];
-          for (auto& [pid, rep] : store) {
-            if (rep.index->erase(id)) {
-              if (wal != nullptr) wal->append_delete(dele.lsns[d], pid, id);
-              ++ack.erased;
-            }
-          }
-        }
-        for (const auto& [pid, rep] : store) {
-          ack.max_delta_fill = std::max(ack.max_delta_fill,
-                                        std::uint64_t(rep.index->delta_fill()));
-        }
-        // Round watermark: a mark frame at the highest LSN this worker was
-        // sent, even when none of its frames reached it (rows for cleared
-        // partitions, deletes with no local hit). The synced mark is the
-        // worker's proof of currency — heal() compares last_synced_lsn()
-        // against each partition's last issued LSN to decide whether this
-        // log can replay the tail or the replica must stream from a peer.
-        if (wal != nullptr) {
-          std::uint64_t round_mark = 0;
-          for (const auto& row : batch.rows) {
-            round_mark = std::max(round_mark, row.lsn);
-          }
-          if (!dele.lsns.empty()) {
-            round_mark = std::max(round_mark, dele.lsns.back());
-          }
-          if (round_mark > 0) {
-            wal->append_compact_mark(round_mark, PartitionId(0));
-          }
-        }
-        // Durability point: group-commit the round's log frames (one fsync)
-        // before acking. A failed commit — disk fault fired — means the
-        // worker dies silently; the master's recv_for observes the missing
-        // ack exactly like an MPI death.
-        if (wal != nullptr) {
-          mpi::FaultInjector* inj = injector.get();
-          const int wal_rank = rank;
-          const bool committed = wal->commit(
-              [inj, wal_rank](
-                  std::uint64_t lsn) -> std::optional<mpi::DiskFaultKind> {
-                if (inj == nullptr) return std::nullopt;
-                return inj->disk_fault_at(wal_rank, lsn);
-              });
-          if (!committed) return;  // acked ⇒ durable, so no ack here
-        }
-        world.send_reserved(0, kTagWriteAck, encode_write_ack(ack));
-      });
-    } catch (...) {
-      absorb_check_report(rt);
-      throw;
-    }
-    absorb_check_report(rt);
+  for (WriteOrder& order : orders) {
+    order.ids.assign(deletes.begin(), deletes.end());
+    order.lsns = del_lsns;
   }
 
+  const std::vector<std::optional<WriteAck>> acks = write_round(orders, alive);
   for (std::size_t w = 0; w < P; ++w) {
-    if (acked[w]) {
-      ws.inserted_replicas += acks[w].inserted;
-      ws.erased_replicas += acks[w].erased;
-      ws.max_delta_fill = std::max(ws.max_delta_fill, acks[w].max_delta_fill);
+    if (acks[w].has_value()) {
+      ws.inserted_replicas += acks[w]->inserted;
+      ws.erased_replicas += acks[w]->erased;
+      ws.max_delta_fill = std::max(ws.max_delta_fill, acks[w]->max_delta_fill);
     } else if (alive[w]) {
       ws.all_acked = false;  // targeted but silent: died (or crashed) mid-round
     }
@@ -752,7 +624,7 @@ WriteStats DistributedAnnEngine::apply_writes(
   ws.row_acked.assign(ws.assigned_ids.size(), 0);
   for (std::size_t i = 0; i < row_targets.size(); ++i) {
     for (const std::size_t w : row_targets[i]) {
-      if (acked[w]) {
+      if (acks[w].has_value()) {
         ws.row_acked[i] = 1;
         break;
       }
@@ -777,89 +649,125 @@ std::uint64_t DistributedAnnEngine::compact() {
                        << local_index_kind_name(config_.local_index)
                        << "' has no delta tier");
   std::lock_guard api(sync_->write_api);
-  const std::size_t P = config_.n_workers;
-
-  auto injector = shared_injector();
-  const std::vector<char> alive = write_plane_alive(injector.get());
-  const auto round_timeout = std::chrono::microseconds(std::llround(
-      std::max(config_.result_timeout_ms, 1000.0) * 1000.0));
-
-  std::uint64_t total = 0;
   // One LSN for the whole compaction order: the compact-mark frames let
   // replay distinguish "records absorbed into a re-frozen segment" from a
   // genuinely missing tail.
-  const std::uint64_t compact_lsn = next_lsn_++;
-  BinaryWriter compact_payload;
-  compact_payload.write(compact_lsn);
-  mpi::Runtime rt(int(P) + 1, injector);
-  configure_runtime_check(rt);
-  {
-    std::shared_lock topology(sync_->topology);
-    try {
-      rt.run([&](mpi::Comm& world) {
-        const int rank = world.rank();
-        if (rank == 0) {
-          for (std::size_t w = 0; w < P; ++w) {
-            if (!alive[w]) continue;
-            (void)world.isend_reserved(int(w) + 1, kTagCompact,
-                                       compact_payload.bytes());
-          }
-          for (std::size_t w = 0; w < P; ++w) {
-            if (!alive[w]) continue;
-            std::optional<mpi::Message> m;
-            if (injector != nullptr) {
-              m = world.recv_for(int(w) + 1, kTagWriteAck, round_timeout);
-            } else {
-              m = world.recv(int(w) + 1, kTagWriteAck);
-            }
-            if (!m.has_value()) continue;
-            total += decode_write_ack(m->payload).compactions;
-          }
-          return;
-        }
-        const std::size_t w = std::size_t(rank) - 1;
-        if (!alive[w]) return;
-        std::optional<mpi::Message> m;
-        if (injector != nullptr) {
-          m = world.recv_for(0, kTagCompact, round_timeout);
-        } else {
-          m = world.recv(0, kTagCompact);
-        }
-        if (!m.has_value()) return;  // killed mid-round
-        BinaryReader rd(m->payload);
-        const auto order_lsn = rd.read<std::uint64_t>();
-        WriteAck ack;
-        recovery::WriteLog* wal = w < wals_.size() ? wals_[w].get() : nullptr;
-        for (auto& [pid, rep] : workers_[w]) {
-          // Single-threaded rebuild keeps compaction deterministic; searches
-          // keep serving the old view until the hot-swap publish.
-          if (rep.index->compact(nullptr)) {
-            if (wal != nullptr) wal->append_compact_mark(order_lsn, pid);
-            ++ack.compactions;
-          }
-        }
-        if (wal != nullptr) {
-          mpi::FaultInjector* inj = injector.get();
-          const int wal_rank = rank;
-          const bool committed = wal->commit(
-              [inj, wal_rank](
-                  std::uint64_t lsn) -> std::optional<mpi::DiskFaultKind> {
-                if (inj == nullptr) return std::nullopt;
-                return inj->disk_fault_at(wal_rank, lsn);
-              });
-          if (!committed) return;
-        }
-        world.send_reserved(0, kTagWriteAck, encode_write_ack(ack));
-      });
-    } catch (...) {
-      absorb_check_report(rt);
-      throw;
-    }
-    absorb_check_report(rt);
+  WriteOrder order;
+  order.compact_lsn = next_lsn_++;
+  std::uint64_t total = 0;
+  for (const auto& ack :
+       write_round(std::vector<WriteOrder>(config_.n_workers, order),
+                   write_plane_alive(shared_injector().get()))) {
+    if (ack.has_value()) total += ack->compactions;
   }
-
   if (total > 0 && !config_.checkpoint_dir.empty()) save_checkpoints();
   return total;
+}
+
+std::vector<std::optional<WriteAck>> DistributedAnnEngine::write_round(
+    const std::vector<WriteOrder>& orders, const std::vector<char>& alive) {
+  const std::size_t P = config_.n_workers;
+  const std::shared_ptr<mpi::FaultInjector> injector = shared_injector();
+  // A concurrent chaos search can advance the kill clock mid-round, and a
+  // dead rank is silent on every tag (reliable ones included) — so with an
+  // injector armed every wait of the round is bounded.
+  const microseconds timeout =
+      injector != nullptr ? control_deadline(config_) : microseconds(0);
+  std::vector<std::optional<WriteAck>> acks(P);
+  std::shared_lock topology(sync_->topology);
+  run_phase(injector, [&](mpi::Comm& world) {
+    if (world.rank() == 0) {
+      for (std::size_t w = 0; w < P; ++w) {
+        if (!alive[w]) continue;
+        (void)world.isend_reserved(int(w) + 1, kTagWrite,
+                                   encode_write_order(orders[w]));
+      }
+      for (std::size_t w = 0; w < P; ++w) {
+        if (!alive[w]) continue;
+        // A missing ack means the worker died mid-round; the search plane
+        // will observe the silence and fold the death.
+        auto m = recv_within(world, int(w) + 1, kTagWriteAck, timeout);
+        if (m.has_value()) acks[w] = decode_write_ack(m->payload);
+      }
+      return;
+    }
+    const std::size_t w = std::size_t(world.rank()) - 1;
+    if (!alive[w]) return;
+    const auto m = recv_within(world, 0, kTagWrite, timeout);
+    if (!m.has_value()) return;  // killed mid-round
+    const WriteOrder order = decode_write_order(m->payload);
+    WriteAck ack;
+    WorkerStore& store = workers_[w];
+    recovery::WriteLog* wal = w < wals_.size() ? wals_[w].get() : nullptr;
+    for (const auto& row : order.rows) {
+      auto it = store.find(row.partition);
+      // A missing partition means an observed death cleared this store and
+      // heal() has not run yet; the row lands on the other replicas.
+      if (it == store.end()) continue;
+      it->second.index->insert(row.vec, row.id);
+      if (wal != nullptr) {
+        wal->append_insert(row.lsn, row.partition, row.id, row.vec);
+      }
+      ++ack.inserted;
+    }
+    for (std::size_t d = 0; d < order.ids.size(); ++d) {
+      for (auto& [pid, rep] : store) {
+        if (rep.index->erase(order.ids[d])) {
+          if (wal != nullptr) {
+            wal->append_delete(order.lsns[d], pid, order.ids[d]);
+          }
+          ++ack.erased;
+        }
+      }
+    }
+    for (const auto& [pid, rep] : store) {
+      ack.max_delta_fill = std::max(ack.max_delta_fill,
+                                    std::uint64_t(rep.index->delta_fill()));
+    }
+    // Round watermark: a mark frame at the highest LSN this worker was sent,
+    // even when none of its frames reached it (rows for cleared partitions,
+    // deletes with no local hit). The synced mark is the worker's proof of
+    // currency — heal() compares last_synced_lsn() against each partition's
+    // last issued LSN to decide whether this log can replay the tail or the
+    // replica must stream from a peer.
+    if (wal != nullptr) {
+      std::uint64_t round_mark = 0;
+      for (const auto& row : order.rows) {
+        round_mark = std::max(round_mark, row.lsn);
+      }
+      if (!order.lsns.empty()) {
+        round_mark = std::max(round_mark, order.lsns.back());
+      }
+      if (round_mark > 0) {
+        wal->append_compact_mark(round_mark, PartitionId(0));
+      }
+    }
+    if (order.compact_lsn != 0) {
+      for (auto& [pid, rep] : store) {
+        // Single-threaded rebuild keeps compaction deterministic; searches
+        // keep serving the old view until the hot-swap publish.
+        if (rep.index->compact(nullptr)) {
+          if (wal != nullptr) wal->append_compact_mark(order.compact_lsn, pid);
+          ++ack.compactions;
+        }
+      }
+    }
+    // Durability point: group-commit the round's log frames (one fsync)
+    // before acking. A failed commit — disk fault fired — means the worker
+    // dies silently; the master observes the missing ack exactly like an
+    // MPI death.
+    const auto disk_fault = [inj = injector.get(), rank = world.rank()](
+                                std::uint64_t lsn)
+        -> std::optional<mpi::DiskFaultKind> {
+      if (inj == nullptr) return std::nullopt;
+      return inj->disk_fault_at(rank, lsn);
+    };
+    if (wal != nullptr && !wal->commit(disk_fault)) {
+      return;  // acked ⇒ durable, so no ack here
+    }
+    world.send_reserved(0, kTagWriteAck, encode_write_ack(ack));
+  });
+  return acks;
 }
 
 std::size_t DistributedAnnEngine::max_delta_fill() const {
@@ -1050,18 +958,21 @@ recovery::HealReport DistributedAnnEngine::heal() {
   // 3. Prefer the checkpoint store: a durable snapshot restores locally with
   //    no cluster traffic at all (the LANNS model — reload, don't rebuild).
   std::vector<RestoreJob> stream_plan;
-  // True when a surviving, reliably-reachable peer still hosts the
-  // partition — the same scan the streaming phase uses to pick a source.
-  const auto usable_peer = [&](const RestoreJob& job) {
+  // The first surviving peer that hosts the job's partition and can still
+  // stream it, or none.
+  const auto peer_source =
+      [&](const RestoreJob& job) -> std::optional<std::size_t> {
     for (std::size_t v = 0; v < P; ++v) {
       if (v == job.worker || workers_[v].count(job.partition) == 0) continue;
       if (!health_.alive(v)) continue;
+      // A source whose pending kill trigger already tripped would silently
+      // eat the stream; probe the reliable gate before trusting it.
       if (injector_ != nullptr && !injector_->allow_reliable_op(int(v) + 1)) {
         continue;
       }
-      return true;
+      return v;
     }
-    return false;
+    return std::nullopt;
   };
   if (!config_.checkpoint_dir.empty()) {
     const recovery::CheckpointStore store(config_.checkpoint_dir);
@@ -1082,7 +993,7 @@ recovery::HealReport DistributedAnnEngine::heal() {
           job.partition < partition_last_lsn_.size() &&
           wals_[job.worker]->last_synced_lsn() <
               partition_last_lsn_[job.partition] &&
-          usable_peer(job)) {
+          peer_source(job).has_value()) {
         stream_plan.push_back(job);
         continue;
       }
@@ -1133,38 +1044,16 @@ recovery::HealReport DistributedAnnEngine::heal() {
   };
   std::vector<Transfer> transfers;
   for (const RestoreJob& job : stream_plan) {
-    std::size_t src = P;  // sentinel: no usable source
-    for (std::size_t v = 0; v < P && src == P; ++v) {
-      if (v == job.worker || workers_[v].count(job.partition) == 0) continue;
-      if (!health_.alive(v)) continue;
-      // A source whose pending kill trigger already tripped would silently
-      // eat the stream; probe the reliable gate before trusting it.
-      if (injector_ != nullptr && !injector_->allow_reliable_op(int(v) + 1)) {
-        continue;
-      }
-      src = v;
-    }
-    if (src == P) {
+    const std::optional<std::size_t> src = peer_source(job);
+    if (!src.has_value()) {
       ++report.replicas_unrecoverable;  // partition lost for good
       continue;
     }
-    transfers.push_back({src, job.worker, job.partition});
+    transfers.push_back({*src, job.worker, job.partition});
   }
   if (!transfers.empty()) {
-    const auto stream_timeout = std::chrono::microseconds(std::max<std::int64_t>(
-        std::int64_t(config_.result_timeout_ms * 1000.0), 1'000'000));
-    mpi::Runtime rt(int(P) + 1, shared_injector());
-    configure_runtime_check(rt);
-    auto run_checked = [&](const std::function<void(mpi::Comm&)>& body) {
-      try {
-        rt.run(body);
-      } catch (...) {
-        absorb_check_report(rt);
-        throw;
-      }
-      absorb_check_report(rt);
-    };
-    run_checked([&](mpi::Comm& world) {
+    const microseconds stream_timeout = control_deadline(config_);
+    run_phase(shared_injector(), [&](mpi::Comm& world) {
       if (world.rank() == 0) return;
       const std::size_t me = std::size_t(world.rank()) - 1;
       // Sends first (they never block in-process), then receives in plan

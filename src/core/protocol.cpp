@@ -48,22 +48,34 @@ LocalResult decode_local_result(std::span<const std::byte> bytes) {
   return out;
 }
 
-std::vector<std::byte> encode_write_batch(const WriteBatch& b) {
+std::vector<std::byte> encode_write_order(const WriteOrder& o) {
+  ANNSIM_CHECK_MSG(o.lsns.size() == o.ids.size(),
+                   "WriteOrder.lsns must be parallel to ids");
   BinaryWriter w;
-  w.write(std::uint64_t(b.rows.size()));
-  for (const auto& row : b.rows) {
+  w.write(std::uint64_t(o.rows.size()));
+  for (const auto& row : o.rows) {
     w.write(row.partition);
     w.write(row.id);
     w.write(row.lsn);
     w.write_vector(row.vec);
   }
+  w.write_vector(o.ids);
+  w.write_vector(o.lsns);
+  w.write(o.compact_lsn);
   return w.take();
 }
 
-WriteBatch decode_write_batch(std::span<const std::byte> bytes) {
+WriteOrder decode_write_order(std::span<const std::byte> bytes) {
   BinaryReader r(bytes);
-  WriteBatch out;
+  WriteOrder out;
   const auto n = r.read<std::uint64_t>();
+  // Bound the row count by the bytes left before allocating any rows: even
+  // an empty row carries its fixed fields and a vector length prefix.
+  constexpr std::size_t kMinRowBytes = sizeof(PartitionId) + sizeof(GlobalId) +
+                                       2 * sizeof(std::uint64_t);
+  ANNSIM_CHECK_MSG(n <= r.remaining() / kMinRowBytes,
+                   "WriteOrder claims " << n << " rows in " << r.remaining()
+                                        << " bytes");
   out.rows.resize(n);
   for (auto& row : out.rows) {
     row.partition = r.read<PartitionId>();
@@ -71,28 +83,12 @@ WriteBatch decode_write_batch(std::span<const std::byte> bytes) {
     row.lsn = r.read<std::uint64_t>();
     row.vec = r.read_vector<float>();
   }
-  ANNSIM_CHECK(r.exhausted());
-  return out;
-}
-
-std::vector<std::byte> encode_delete_batch(const DeleteBatch& b) {
-  ANNSIM_CHECK_MSG(b.lsns.empty() || b.lsns.size() == b.ids.size(),
-                   "DeleteBatch.lsns must be empty or parallel to ids");
-  BinaryWriter w;
-  w.write_vector(b.ids);
-  w.write_vector(b.lsns);
-  return w.take();
-}
-
-DeleteBatch decode_delete_batch(std::span<const std::byte> bytes) {
-  BinaryReader r(bytes);
-  DeleteBatch out;
   out.ids = r.read_vector<GlobalId>();
   out.lsns = r.read_vector<std::uint64_t>();
+  out.compact_lsn = r.read<std::uint64_t>();
   ANNSIM_CHECK(r.exhausted());
-  ANNSIM_CHECK_MSG(out.lsns.empty() || out.lsns.size() == out.ids.size(),
-                   "DeleteBatch.lsns must be empty or parallel to ids");
-  if (out.lsns.empty()) out.lsns.assign(out.ids.size(), 0);
+  ANNSIM_CHECK_MSG(out.lsns.size() == out.ids.size(),
+                   "WriteOrder.lsns must be parallel to ids");
   return out;
 }
 
@@ -114,6 +110,13 @@ WriteAck decode_write_ack(std::span<const std::byte> bytes) {
   out.compactions = r.read<std::uint64_t>();
   ANNSIM_CHECK(r.exhausted());
   return out;
+}
+
+std::optional<mpi::Message> recv_within(mpi::Comm& world, int source,
+                                        mpi::Tag tag,
+                                        std::chrono::microseconds timeout) {
+  if (timeout.count() == 0) return world.recv(source, tag);
+  return world.recv_for(source, tag, timeout);
 }
 
 bool mask_contains(std::span<const std::uint64_t> mask,

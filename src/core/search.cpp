@@ -28,14 +28,6 @@ namespace {
 using Clock = std::chrono::steady_clock;
 using std::chrono::microseconds;
 
-/// recv bounded by `timeout` when detection is armed (nonzero); a plain
-/// blocking recv otherwise.
-std::optional<mpi::Message> recv_within(mpi::Comm& world, int source,
-                                        mpi::Tag tag, microseconds timeout) {
-  if (timeout.count() == 0) return world.recv(source, tag);
-  return world.recv_for(source, tag, timeout);
-}
-
 enum class JobState : char { kPending, kMerged, kAbandoned };
 
 /// One (query, partition) search job and the worker it is assigned to.
@@ -587,11 +579,10 @@ void DistributedAnnEngine::worker_search(
   const bool beacon = config_.result_timeout_ms > 0.0;
   auto rank_duties = [&] {
     if (owner_duties) owner_duties(notice);
+    // Four beats per detection deadline, so one late beat never reads as a
+    // death.
     const auto interval = microseconds(std::max<std::int64_t>(
-        std::int64_t((config_.heartbeat_interval_ms > 0.0
-                          ? config_.heartbeat_interval_ms
-                          : config_.result_timeout_ms / 4.0) * 1000.0),
-        100));
+        std::int64_t(config_.result_timeout_ms / 4.0 * 1000.0), 100));
     while (beacon && !done.load(std::memory_order_acquire)) {
       (void)world.isend_reserved(0, kTagHeartbeat, {});
       // Sleep the interval in slices so termination stays prompt.

@@ -230,17 +230,12 @@ TEST_P(ReservedWriteTag, NakedSendIsFlaggedSanctionedSendIsNot) {
 }
 
 INSTANTIATE_TEST_SUITE_P(WritePlane, ReservedWriteTag,
-                         ::testing::Values(annsim::core::kTagInsert,
-                                           annsim::core::kTagDelete,
-                                           annsim::core::kTagWriteAck,
-                                           annsim::core::kTagCompact),
+                         ::testing::Values(annsim::core::kTagWrite,
+                                           annsim::core::kTagWriteAck),
                          [](const auto& pinfo) {
-                           switch (pinfo.param) {
-                             case annsim::core::kTagInsert: return "Insert";
-                             case annsim::core::kTagDelete: return "Delete";
-                             case annsim::core::kTagWriteAck: return "WriteAck";
-                             default: return "Compact";
-                           }
+                           return pinfo.param == annsim::core::kTagWrite
+                                      ? "Write"
+                                      : "WriteAck";
                          });
 
 TEST(CheckRules, WildcardRecvWhileTagsReserved) {

@@ -169,7 +169,6 @@ TEST(EngineRecovery, DeadWorkerStaysDeadWithoutDoubleCounting) {
   auto w = data::make_sift_like(800, 20, 803);
   auto cfg = recovery_config(4);
   cfg.result_timeout_ms = 250.0;
-  cfg.heartbeat_interval_ms = 1.0;
   cfg.fault.seed = 92;
   cfg.fault.kills.push_back({/*rank=*/2, /*after_ops=*/3, mpi::kNeverFires});
   DistributedAnnEngine eng(&w.base, cfg);
@@ -179,8 +178,9 @@ TEST(EngineRecovery, DeadWorkerStaysDeadWithoutDoubleCounting) {
   (void)eng.search(w.queries, 10, 0, &st1);
   EXPECT_EQ(st1.workers_failed, 1u);
   EXPECT_EQ(eng.health().workers[1].deaths, 1u);
-  // The batch outlives the detection deadline, so live workers got many
-  // 1ms beacons through; the master counted them.
+  // The batch outlives the detection deadline, and a beacon beats once
+  // before its first sleep, so live workers got beacons through; the master
+  // counted them.
   EXPECT_GT(eng.health().workers[0].heartbeats, 0u);
 
   // Batch 2, no heal: the worker is skipped at dispatch — not re-discovered,

@@ -906,7 +906,7 @@ int cmd_mutate_bench(int argc, char** argv) {
   // the worker goes silent unavoidably waits out the detection SLA before
   // failover, and that is configured behavior, not a stall regression. A
   // disk fault always fires mid write round, where the engine's ack wait is
-  // floored at 1s (see apply_writes' round_timeout), so the budget uses the
+  // floored at 1s (see the engine's control_deadline), so the budget uses the
   // write plane's actual SLA rather than --timeout-ms alone. What the gate
   // catches is anything *beyond* detection + failover leaking into the
   // tail (e.g. serving stalled behind a compaction or a WAL group commit).

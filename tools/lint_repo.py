@@ -67,6 +67,14 @@ raw-thread-in-ranks
     common/thread_cohort.hpp, which borrows parked threads instead of
     creating and joining OS threads per search, and carries a member's
     exception to the caller instead of calling std::terminate.
+
+runtime-outside-phase-helper
+    src/core/engine.cpp and src/core/search.cpp may construct an
+    mpi::Runtime only inside DistributedAnnEngine::run_phase. That helper
+    is the one place an engine phase gets its fault injector, schedule
+    controller and checker, and folds the checker's report back on both
+    the normal and the throwing path; a runtime built anywhere else runs
+    unchecked, unscheduled or with a report that is lost on error.
 """
 
 from __future__ import annotations
@@ -123,6 +131,16 @@ RAW_WRITE_RE = re.compile(r"\bstd::ofstream\b|\bofstream\b|\bfopen\s*\(")
 # --- rule: raw threads in the runtime and the engines ---------------------
 RANK_THREAD_DIRS = ["src/mpi", "src/core"]
 RAW_THREAD_RE = re.compile(r"\bstd::(?:thread|jthread)\b")
+
+# --- rule: engine runtimes only inside the phase helper -------------------
+PHASE_FILES = ["src/core/engine.cpp", "src/core/search.cpp"]
+PHASE_HELPER = "DistributedAnnEngine::run_phase"
+# `Runtime rt(...)`, `Runtime rt{...}`, a temporary `Runtime(...)`, or
+# make_unique/make_shared<Runtime>. References (`Runtime& rt`) do not match.
+RUNTIME_CTOR_RE = re.compile(
+    r"\b(?:mpi::)?Runtime\b\s*(?:\w+\s*)?[({]|"
+    r"\bmake_(?:unique|shared)\s*<\s*(?:mpi::)?Runtime\s*>"
+)
 
 
 def strip_comments_and_strings(text: str) -> str:
@@ -268,6 +286,42 @@ def check_rank_raw_threads(findings: list[str]) -> None:
                 )
 
 
+def body_span(text: str, signature: str) -> tuple[int, int]:
+    """[start, end) of the brace-delimited body of the first definition of
+    `signature` in `text`, or (-1, -1) when there is none."""
+    at = text.find(signature + "(")
+    if at < 0:
+        return -1, -1
+    open_brace = text.find("{", at)
+    depth = 0
+    for i in range(open_brace, len(text)):
+        if text[i] == "{":
+            depth += 1
+        elif text[i] == "}":
+            depth -= 1
+            if depth == 0:
+                return open_brace, i + 1
+    return open_brace, len(text)
+
+
+def check_phase_runtimes(findings: list[str]) -> None:
+    for rel in PHASE_FILES:
+        path = REPO / rel
+        if not path.exists():
+            continue
+        text = strip_comments_and_strings(path.read_text())
+        start, end = body_span(text, PHASE_HELPER)
+        for m in RUNTIME_CTOR_RE.finditer(text):
+            if start <= m.start() < end:
+                continue
+            findings.append(
+                f"{rel}:{line_of(text, m.start())}: "
+                f"[runtime-outside-phase-helper] engine phases run through "
+                f"{PHASE_HELPER}, which arms the injector, schedule and "
+                f"checker; do not construct an mpi::Runtime here"
+            )
+
+
 def main() -> int:
     findings: list[str] = []
     check_naked_tags(findings)
@@ -278,6 +332,7 @@ def main() -> int:
     check_src_sleeps(findings)
     check_recovery_raw_writes(findings)
     check_rank_raw_threads(findings)
+    check_phase_runtimes(findings)
     for f in findings:
         print(f)
     if findings:
