@@ -10,12 +10,13 @@
 ///  * a batched distance function `dist(ids, m, out)` writing search-space
 ///    distances: `search_dist_batch` over float rows, the uint8 kernels over
 ///    SQ8 code rows.
+/// The beam is one candidate pool sorted ascending by (dist, node) with an
+/// "expanded" flag per entry; each step expands the first unexpanded entry.
 /// Candidates are totally ordered by (dist, node), so the beam's result
 /// depends only on the graph and the distances.
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -34,18 +35,7 @@ struct Cand {
   friend bool operator<(const Cand& a, const Cand& b) noexcept {
     return a.dist < b.dist || (a.dist == b.dist && a.node < b.node);
   }
-  friend bool operator>(const Cand& a, const Cand& b) noexcept { return b < a; }
 };
-
-/// Max-heap over a vector: front() is the worst candidate kept.
-inline void max_push(std::vector<Cand>& h, Cand c) {
-  h.push_back(c);
-  std::push_heap(h.begin(), h.end());
-}
-inline void max_pop(std::vector<Cand>& h) {
-  std::pop_heap(h.begin(), h.end());
-  h.pop_back();
-}
 
 /// Per-search working memory. Pooled, so a warmed-up search allocates
 /// nothing but its result.
@@ -55,8 +45,10 @@ struct BeamScratch {
   std::vector<LocalId> ids;    ///< unvisited-neighbour gather
   std::vector<float> dists;    ///< batched kernel output
   std::vector<LocalId> links;  ///< a list copied under its node's mutex
-  std::vector<Cand> frontier;  ///< min-heap: candidates left to expand
-  std::vector<Cand> best;      ///< max-heap: the nearest ef so far
+  /// The candidate pool, ascending by (dist, node). After beam_layer it
+  /// holds the nearest ef candidates found.
+  std::vector<Cand> best;
+  std::vector<std::uint8_t> expanded;  ///< parallel to best
 
   void reserve_lanes(std::size_t lanes) {
     if (ids.size() < lanes) {
@@ -70,10 +62,17 @@ struct BeamScratch {
       epoch = 1;
     }
   }
-  bool test_and_set(LocalId v) noexcept {
-    if (stamp[v] == epoch) return true;
-    stamp[v] = epoch;
-    return false;
+  /// Copies the not-yet-visited ids of `from` into ids[0, m), marks them
+  /// visited and returns m. Every id is written and only unvisited ones
+  /// advance m, so there is no branch per id.
+  std::size_t gather_unvisited(std::span<const LocalId> from) noexcept {
+    std::size_t m = 0;
+    for (LocalId v : from) {
+      ids[m] = v;
+      m += stamp[v] != epoch;
+      stamp[v] = epoch;
+    }
+    return m;
   }
 };
 
@@ -110,40 +109,56 @@ class BeamPool {
 };
 
 /// Beam search of width `ef` within one layer, from `entries` (at most ef
-/// of them). Leaves the nearest ef candidates in s.best, max-heap ordered.
+/// of them). Leaves the nearest ef candidates in s.best, ascending by
+/// (dist, node).
+///
+/// A candidate is admitted iff the pool holds fewer than ef entries or its
+/// distance is strictly below pool[ef-1]'s. Entries pushed past index ef-1
+/// stay (the "tie tail") only while their distance equals pool[ef-1]'s: a
+/// candidate tied with the ef-th best is still expanded, because the
+/// classic stop test "nearest unexpanded > worst kept" is strict, and the
+/// graph and results depend on those expansions.
 template <class DistBatch>
 void beam_layer(const FlatGraph& g, std::mutex* locks,
                 std::span<const LocalId> entries, int layer, std::size_t ef,
                 BeamScratch& s, DistBatch&& dist) {
   s.new_epoch();
-  s.frontier.clear();
-  s.best.clear();
+  auto& pool = s.best;
+  auto& done = s.expanded;
+  pool.clear();
+  done.clear();
   s.reserve_lanes(std::max(entries.size(), g.capacity(0)));
+  std::size_t cursor = 0;  // first unexpanded pool entry
   const auto admit = [&](std::size_t m) {
     dist(s.ids.data(), m, s.dists.data());
     for (std::size_t i = 0; i < m; ++i) {
       const Cand c{s.dists[i], s.ids[i]};
-      if (s.best.size() < ef || c.dist < s.best.front().dist) {
-        s.frontier.push_back(c);
-        std::push_heap(s.frontier.begin(), s.frontier.end(), std::greater<>{});
-        max_push(s.best, c);
-        if (s.best.size() > ef) max_pop(s.best);
+      if (pool.size() >= ef && !(c.dist < pool[ef - 1].dist)) continue;
+      // Insertion step: shift larger entries up one, from the back.
+      std::size_t pos = pool.size();
+      pool.push_back(c);
+      done.push_back(0);
+      for (; pos > 0 && c < pool[pos - 1]; --pos) {
+        pool[pos] = pool[pos - 1];
+        done[pos] = done[pos - 1];
+      }
+      pool[pos] = c;
+      done[pos] = 0;
+      cursor = std::min(cursor, pos);
+      if (pool.size() > ef) {  // keep only the tail tied with pool[ef-1]
+        const float worst = pool[ef - 1].dist;
+        std::size_t end = ef;
+        while (end < pool.size() && pool[end].dist == worst) ++end;
+        pool.resize(end);
+        done.resize(end);
       }
     }
   };
-  std::size_t m = 0;
-  for (LocalId e : entries) {
-    if (!s.test_and_set(e)) s.ids[m++] = e;
-  }
-  admit(m);
+  admit(s.gather_unvisited(entries));
 
-  while (!s.frontier.empty()) {
-    if (s.best.size() >= ef && s.frontier.front().dist > s.best.front().dist) {
-      break;
-    }
-    std::pop_heap(s.frontier.begin(), s.frontier.end(), std::greater<>{});
-    const LocalId v = s.frontier.back().node;
-    s.frontier.pop_back();
+  while (cursor < pool.size()) {
+    done[cursor] = 1;
+    const LocalId v = pool[cursor].node;
 
     std::span<const LocalId> neigh;
     if (locks == nullptr) {
@@ -155,13 +170,15 @@ void beam_layer(const FlatGraph& g, std::mutex* locks,
       neigh = s.links;
     }
     for (LocalId nb : neigh) simd::prefetch_line(&s.stamp[nb]);
-    m = 0;
-    for (LocalId nb : neigh) {
-      if (!s.test_and_set(nb)) s.ids[m++] = nb;
-    }
+    const std::size_t m = s.gather_unvisited(neigh);
     if (m != 0) admit(m);
-    // Warm the next expansion's adjacency block while the heaps settle.
-    if (!s.frontier.empty()) g.prefetch0(s.frontier.front().node);
+    while (cursor < pool.size() && done[cursor]) ++cursor;
+    // Warm the next expansion's adjacency block.
+    if (cursor < pool.size()) g.prefetch0(pool[cursor].node);
+  }
+  if (pool.size() > ef) {
+    pool.resize(ef);
+    done.resize(ef);
   }
 }
 

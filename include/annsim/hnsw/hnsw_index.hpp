@@ -18,7 +18,9 @@
 /// then on searches read the same blocks in place with no copy and no lock.
 /// Every search, construction's included, runs hnsw::beam_layer on pooled
 /// scratch with the batched distance kernels, and ranks candidates in
-/// squared-L2 space, deferring the `sqrt` to result emission.
+/// squared-L2 space, deferring the `sqrt` to result emission. The beam
+/// keeps one candidate pool sorted by (dist, node), so search() emits its
+/// first k entries and insert() selects neighbours from it as they are.
 
 #include <cstdint>
 #include <memory>

@@ -13,7 +13,8 @@
 ///  2. builds the standard HNSW graph *on the floats* and keeps its
 ///     FlatGraph. Search runs the float tier's own beam (hnsw::beam_layer)
 ///     over that graph; only the batched distance function differs, the
-///     fused uint8 kernels over code rows;
+///     fused uint8 kernels over code rows. The beam's pool, the nearest ef
+///     candidates ascending by (dist, node), goes to the re-rank as is;
 ///  3. copies the hottest `float_cache_fraction` of rows, as full floats,
 ///     into the *re-rank cache*. "Hottest" is measured access frequency when
 ///     the freeze happens during a major compaction (per-row hit counters

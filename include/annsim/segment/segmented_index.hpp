@@ -55,8 +55,9 @@ struct SegmentedParams {
   hnsw::HnswParams hnsw;
   /// Rows the delta absorbs before an insert forces a synchronous
   /// compaction. Storage is pre-allocated, so this is also the delta's
-  /// fixed memory footprint.
+  /// fixed memory footprint. Within [1, kMaxDeltaCapacity].
   std::size_t delta_capacity = 1024;
+  static constexpr std::size_t kMaxDeltaCapacity = std::size_t{1} << 20;
   /// Store frozen segments as SQ8 code rows (quant::SqSegment) instead of
   /// full floats. The delta always stays full-float — quantization happens
   /// at freeze time, when the codec can be trained on the exact rows it will

@@ -18,6 +18,9 @@ namespace {
 /// Constructor preconditions, shared with from_bytes so a decoded header is
 /// held to the same rules. Resolves level_mult = 0 to the canonical 1/ln(M).
 HnswParams checked(HnswParams p) {
+  ANNSIM_CHECK_MSG(p.metric >= simd::Metric::kL2 &&
+                       p.metric <= simd::Metric::kCosine,
+                   "HNSW: unknown metric " << int(p.metric));
   ANNSIM_CHECK_MSG(p.M >= 2 && p.M <= FlatGraph::kMaxM, "HNSW: M = " << p.M);
   ANNSIM_CHECK_MSG(p.ef_construction >= p.M,
                    "HNSW: ef_construction " << p.ef_construction << " < M");
@@ -92,14 +95,14 @@ const FlatGraph& HnswIndex::flat_graph() const {
 namespace {
 
 /// Heuristic neighbor selection (Algorithm 4 of the HNSW paper): scan
-/// candidates nearest-first, keep one only if it is closer to the query than
-/// to every already-kept neighbor; backfill with pruned candidates.
+/// candidates nearest-first (`candidates` ascending by (dist, node)), keep
+/// one only if it is closer to the query than to every already-kept
+/// neighbor; backfill with pruned candidates.
 /// Comparisons happen in search space (order-identical to ranking space).
 std::vector<LocalId> select_neighbors(const data::Dataset& data,
                                       const simd::DistanceComputer& dist,
-                                      std::vector<Cand> candidates,
+                                      std::span<const Cand> candidates,
                                       std::size_t m) {
-  std::sort(candidates.begin(), candidates.end());  // ascending distance
   std::vector<LocalId> kept;
   std::vector<LocalId> pruned;
   kept.reserve(m);
@@ -190,8 +193,9 @@ void HnswIndex::insert(LocalId node) {
       for (LocalId x : g.neighbors(nb, layer)) {
         cands.push_back({dist.search_dist(nbv, data_->row(x)), x});
       }
+      std::sort(cands.begin(), cands.end());
       g.set_neighbors(nb, layer,
-                      select_neighbors(*data_, dist, std::move(cands), m_layer));
+                      select_neighbors(*data_, dist, cands, m_layer));
     }
 
     // Next layer starts from this layer's candidates.
@@ -258,8 +262,7 @@ std::vector<Neighbor> HnswIndex::search(const float* query, std::size_t k,
   ep = descend(g, locks, ep, top_level, 0, *s, batch);
   beam_layer(g, locks, {&ep, 1}, 0, ef, *s, batch);
 
-  auto& best = s->best;
-  std::sort_heap(best.begin(), best.end());  // ascending (dist, node)
+  const auto& best = s->best;  // ascending (dist, node)
   std::vector<Neighbor> out;
   out.reserve(std::min(k, best.size()));
   for (std::size_t i = 0; i < best.size() && out.size() < k; ++i) {
@@ -350,10 +353,7 @@ HnswIndex HnswIndex::from_bytes(std::span<const std::byte> bytes,
   p.ef_search = r.read<std::uint64_t>();
   p.level_mult = r.read<double>();
   p.seed = r.read<std::uint64_t>();
-  const auto metric = r.read<std::int32_t>();
-  ANNSIM_CHECK_MSG(metric >= 0 && metric <= std::int32_t(simd::Metric::kCosine),
-                   "HNSW file: unknown metric " << metric);
-  p.metric = simd::Metric(metric);
+  p.metric = simd::Metric(r.read<std::int32_t>());
   p = checked(p);
   const auto n = r.read<std::uint64_t>();
   ANNSIM_CHECK_MSG(n == data->size(), "HNSW file does not match dataset size");

@@ -22,6 +22,16 @@ std::size_t float_stride(std::size_t dim) noexcept {
   return (dim + kFloatPad - 1) / kFloatPad * kFloatPad;
 }
 
+/// Max-heap over a vector: front() is the worst candidate kept.
+void max_push(std::vector<hnsw::Cand>& h, hnsw::Cand c) {
+  h.push_back(c);
+  std::push_heap(h.begin(), h.end());
+}
+void max_pop(std::vector<hnsw::Cand>& h) {
+  std::pop_heap(h.begin(), h.end());
+  h.pop_back();
+}
+
 }  // namespace
 
 std::unique_ptr<SqSegment> SqSegment::build(const data::Dataset& rows,
@@ -198,10 +208,10 @@ std::vector<Neighbor> SqSegment::scan(const float* query, std::size_t k) const {
     for (std::size_t i = 0; i < m; ++i) {
       const hnsw::Cand c{s->dists[i], LocalId(start + i)};
       if (best.size() < fetch) {
-        hnsw::max_push(best, c);
+        max_push(best, c);
       } else if (c < best.front()) {
-        hnsw::max_pop(best);
-        hnsw::max_push(best, c);
+        max_pop(best);
+        max_push(best, c);
       }
     }
   }

@@ -1,6 +1,7 @@
 #include "annsim/segment/segmented_index.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "annsim/common/error.hpp"
@@ -40,8 +41,16 @@ SegmentedIndex::SegmentedIndex(SegmentedParams params, std::size_t dim)
     : params_(params), dim_(dim) {
   ANNSIM_CHECK_MSG(dim_ > 0, "SegmentedIndex requires a nonzero dimension "
                              "(pass Dataset(0, dim) for a delta-only index)");
-  ANNSIM_CHECK_MSG(params_.delta_capacity >= 1,
-                   "delta_capacity must be nonzero");
+  ANNSIM_CHECK_MSG(params_.delta_capacity >= 1 &&
+                       params_.delta_capacity <=
+                           SegmentedParams::kMaxDeltaCapacity,
+                   "delta_capacity must be within [1, "
+                       << SegmentedParams::kMaxDeltaCapacity << "], got "
+                       << params_.delta_capacity);
+  ANNSIM_CHECK_MSG(dim_ <= std::numeric_limits<std::size_t>::max() /
+                               sizeof(float) / params_.delta_capacity,
+                   "delta_capacity " << params_.delta_capacity << " x dim "
+                                     << dim_ << " overflows");
   if (params_.quantize_frozen) {
     ANNSIM_CHECK_MSG(params_.hnsw.metric == simd::Metric::kL2 ||
                          params_.hnsw.metric == simd::Metric::kInnerProduct,
@@ -439,6 +448,10 @@ std::unique_ptr<SegmentedIndex> SegmentedIndex::from_bytes(
   BinaryReader r(bytes);
   const auto header = r.read_vector<std::byte>();
   const auto n_segments = r.read<std::uint64_t>();
+  // Each segment takes at least its id and its blob's length (8 + 8 bytes).
+  ANNSIM_CHECK_MSG(n_segments <= r.remaining() / 16,
+                   "SegmentedIndex::from_bytes: " << n_segments
+                                                  << " segments cannot fit");
   std::vector<std::pair<std::uint64_t, std::vector<std::byte>>> segments;
   segments.reserve(n_segments);
   for (std::uint64_t i = 0; i < n_segments; ++i) {
@@ -464,7 +477,10 @@ std::unique_ptr<SegmentedIndex> SegmentedIndex::from_parts(
                    "SegmentedIndex: unsupported version " << version);
   const auto dim = h.read<std::uint64_t>();
   SegmentedParams params;
-  params.hnsw.metric = static_cast<simd::Metric>(h.read<std::uint32_t>());
+  const auto metric = h.read<std::uint32_t>();
+  ANNSIM_CHECK_MSG(metric <= std::uint32_t(simd::Metric::kCosine),
+                   "SegmentedIndex: unknown metric " << metric);
+  params.hnsw.metric = static_cast<simd::Metric>(metric);
   params.hnsw.M = h.read<std::uint64_t>();
   params.hnsw.ef_construction = h.read<std::uint64_t>();
   params.hnsw.ef_search = h.read<std::uint64_t>();
@@ -510,7 +526,8 @@ std::unique_ptr<SegmentedIndex> SegmentedIndex::from_parts(
     const auto packed = r.read_vector<float>();
     const auto index_bytes = r.read_vector<std::byte>();
     ANNSIM_CHECK_MSG(r.exhausted(), "SegmentedIndex: trailing segment bytes");
-    ANNSIM_CHECK_MSG(ids.size() == count && packed.size() == count * dim,
+    ANNSIM_CHECK_MSG(ids.size() == count && packed.size() % dim == 0 &&
+                         packed.size() / dim == count,
                      "SegmentedIndex: segment " << seg_id
                                                 << " row/id count mismatch");
     seg->data = std::make_unique<data::Dataset>(count, std::size_t(dim));

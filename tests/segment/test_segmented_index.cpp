@@ -5,7 +5,10 @@
 ///    (fanout / tombstone pressure, or forced by a re-insert) merges
 ///    everything and purges tombstones;
 ///  * the serialized image round-trips whole (to_bytes/from_bytes) and in
-///    parts (snapshot_parts/from_parts), byte-identically.
+///    parts (snapshot_parts/from_parts), byte-identically;
+///  * a malformed image (float or SQ8) decodes to an index that searches
+///    safely, or throws annsim::Error: never a crash or an unchecked
+///    allocation.
 
 #include <gtest/gtest.h>
 
@@ -13,8 +16,12 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <string>
 #include <vector>
 
+#include "annsim/common/error.hpp"
+#include "annsim/common/rng.hpp"
 #include "annsim/common/serialize.hpp"
 #include "annsim/data/ground_truth.hpp"
 #include "annsim/data/recipes.hpp"
@@ -279,6 +286,148 @@ TEST(SegmentedIndex, SegmentBlobsAreStableAcrossSnapshots) {
     EXPECT_EQ(first.segments[i].second, second.segments[i].second);
   }
   EXPECT_NE(first.delta, second.delta);
+}
+
+// ---- decoding malformed images ---------------------------------------------
+
+constexpr std::size_t kDecodeDim = 8;
+
+/// Small rows so that most of an image is structure, not float payload.
+data::Dataset decode_rows(std::size_t n, GlobalId first_id, std::uint64_t seed) {
+  Rng rng(seed);
+  data::Dataset ds(n, kDecodeDim);
+  std::vector<float> row(kDecodeDim);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (float& x : row) x = rng.uniformf();
+    ds.set_row(i, row);
+    ds.set_id(i, first_id + i);
+  }
+  return ds;
+}
+
+/// An image with two frozen segments (the delta overflowed once), a
+/// partly filled delta and tombstones; SQ8 segments when `quantize`.
+std::vector<std::byte> decode_image(bool quantize) {
+  SegmentedParams p = small_params(16);
+  p.quantize_frozen = quantize;
+  SegmentedIndex idx(decode_rows(150, 0, 90), p);
+  const auto extra = decode_rows(20, 1000, 91);
+  for (std::size_t i = 0; i < extra.size(); ++i) {
+    idx.insert(extra.row_span(i), extra.id(i));
+  }
+  for (GlobalId id : {3, 77, 1002}) EXPECT_TRUE(idx.erase(id));
+  EXPECT_EQ(idx.stats().n_segments, 2u);
+  EXPECT_GT(idx.stats().delta_used, 0u);
+  return idx.to_bytes();
+}
+
+const std::vector<std::byte>& float_image() {
+  static const auto bytes = decode_image(false);
+  return bytes;
+}
+const std::vector<std::byte>& quant_image() {
+  static const auto bytes = decode_image(true);
+  return bytes;
+}
+
+// Image layout: u64 header length, then the header (u32 magic, u32
+// version, u64 dim, u32 metric, u64 M, u64 ef_construction, u64 ef_search,
+// f64 level_mult, u64 seed, u64 delta_capacity, u64 next_segment_id, and
+// f64 float_cache_fraction when quantized), then u64 n_segments.
+constexpr std::size_t kAtDim = 16;
+constexpr std::size_t kAtMetric = 24;
+constexpr std::size_t kAtDeltaCapacity = 68;
+constexpr std::size_t kAtSegmentsFloat = 84;
+constexpr std::size_t kAtSegmentsQuant = 92;
+
+template <class T>
+std::vector<std::byte> patched(const std::vector<std::byte>& image,
+                               std::size_t at, T value) {
+  auto bytes = image;
+  std::memcpy(bytes.data() + at, &value, sizeof(T));
+  return bytes;
+}
+
+void expect_rejected(const std::vector<std::byte>& bytes) {
+  EXPECT_THROW((void)SegmentedIndex::from_bytes(bytes), Error);
+}
+
+TEST(SegmentedDecode, TheUnpatchedImagesRoundTrip) {
+  for (const auto* image : {&float_image(), &quant_image()}) {
+    EXPECT_EQ(SegmentedIndex::from_bytes(*image)->to_bytes(), *image);
+  }
+  // The layout constants above point where the tests below expect.
+  std::uint64_t n_segments = 0;
+  std::memcpy(&n_segments, float_image().data() + kAtSegmentsFloat, 8);
+  EXPECT_EQ(n_segments, 2u);
+  std::memcpy(&n_segments, quant_image().data() + kAtSegmentsQuant, 8);
+  EXPECT_EQ(n_segments, 2u);
+}
+
+TEST(SegmentedDecode, RejectsAnUnknownMetric) {
+  for (const auto* image : {&float_image(), &quant_image()}) {
+    // High byte of the metric code: once a segfault in the delta replay.
+    expect_rejected(patched<std::uint8_t>(*image, kAtMetric + 3, 0x80));
+    expect_rejected(patched<std::uint32_t>(*image, kAtMetric, 4));
+  }
+}
+
+TEST(SegmentedDecode, RejectsASegmentCountTheImageCannotHold) {
+  for (std::uint64_t n : {std::uint64_t{1} << 26, std::uint64_t{1} << 40,
+                          ~std::uint64_t{0}}) {
+    expect_rejected(patched(float_image(), kAtSegmentsFloat, n));
+    expect_rejected(patched(quant_image(), kAtSegmentsQuant, n));
+  }
+}
+
+TEST(SegmentedDecode, RejectsADeltaCapacityAboveTheBound) {
+  for (const auto* image : {&float_image(), &quant_image()}) {
+    for (std::uint64_t cap :
+         {std::uint64_t{SegmentedParams::kMaxDeltaCapacity} + 1,
+          std::uint64_t{1} << 32, std::uint64_t{1} << 50}) {
+      expect_rejected(patched(*image, kAtDeltaCapacity, cap));
+    }
+    // capacity x dim x sizeof(float) past 2^64.
+    expect_rejected(patched(*image, kAtDim, std::uint64_t{1} << 62));
+  }
+  EXPECT_THROW(SegmentedIndex(decode_rows(4, 0, 93),
+                              small_params(SegmentedParams::kMaxDeltaCapacity + 1)),
+               Error);
+}
+
+TEST(SegmentedDecode, SeededByteMutationsDecodeSafelyOrThrow) {
+  const auto queries = decode_rows(4, 0, 92);
+  for (const auto* image : {&float_image(), &quant_image()}) {
+    Rng rng(1);
+    std::size_t decoded = 0, rejected = 0;
+    for (int iter = 0; iter < 1500; ++iter) {
+      auto bytes = *image;
+      if (iter % 4 == 3) {
+        bytes.resize(rng.uniform_below(bytes.size()));  // truncation
+      } else {
+        const auto n_flips = 1 + rng.uniform_below(4);
+        for (std::uint64_t f = 0; f < n_flips; ++f) {
+          bytes[rng.uniform_below(bytes.size())] =
+              std::byte(rng.uniform_below(256));
+        }
+      }
+      try {
+        const auto idx = SegmentedIndex::from_bytes(bytes);
+        ++decoded;
+        for (std::size_t q = 0; q < queries.size(); ++q) {
+          ASSERT_LE(idx->search(queries.row(q), 10).size(), 10u);
+        }
+      } catch (const Error&) {
+        ++rejected;
+      }
+    }
+    // Both outcomes must occur for the loop to test anything.
+    const char* kind = image == &float_image() ? "float" : "sq8";
+    RecordProperty(std::string(kind) + "_decoded", int(decoded));
+    RecordProperty(std::string(kind) + "_rejected", int(rejected));
+    EXPECT_GT(decoded, 0u);
+    EXPECT_GT(rejected, 0u);
+  }
 }
 
 }  // namespace
